@@ -6,8 +6,8 @@
 
    Part 2 runs Bechamel microbenchmarks of the hot paths the simulation
    rests on: extent-map updates (client cache & data-server extent
-   cache), LCM checks, layout arithmetic, lock-server queue passes and
-   whole mini-cluster steps.
+   cache), LCM checks, layout arithmetic, lock-server queue passes, the
+   sanitizer's per-transition check and whole mini-cluster steps.
 
      dune exec bench/main.exe                 # everything
      dune exec bench/main.exe -- experiments  # tables/figures only
@@ -244,6 +244,51 @@ let bench_lock_server_contended_pass =
          done;
          Sys.opaque_identity (Seqdlm.Lock_server.stats server).grants))
 
+(* The sanitizer's per-transition cost on one resource with 128 disjoint
+   granted NBW locks: each run downgrades one lock (to the mode it
+   already has, so the table stays put) and the attached validator
+   checks the result — the incremental [check_server] looks at that one
+   lock, [check_server_full] re-sweeps all 128. *)
+let bench_check_server =
+  let n = 128 in
+  let server_with validator =
+    let params = Netsim.Params.default in
+    let eng = Dessim.Engine.create () in
+    let node = Netsim.Node.create eng params ~name:"s" () in
+    let server =
+      Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+        ~policy:Seqdlm.Policy.seqdlm
+    in
+    for cid = 0 to n - 1 do
+      Seqdlm.Lock_server.reinstall server ~client:cid
+        ~locks:
+          [
+            ( 1, cid + 1, Seqdlm.Mode.NBW,
+              [ iv (cid * 65536) ((cid * 65536) + 4096) ],
+              cid + 1, Seqdlm.Lcm.Granted );
+          ]
+    done;
+    Seqdlm.Lock_server.set_validator server validator;
+    validator server;
+    server
+  in
+  List.map
+    (fun (tag, validator) ->
+      let server = server_with validator in
+      let k = ref 0 in
+      Test.make
+        ~name:(Printf.sprintf "sanitizer: 1 changed of %d grants (%s)" n tag)
+        (Staged.stage (fun () ->
+             k := (!k + 1) mod n;
+             Seqdlm.Lock_server.control server
+               (Seqdlm.Types.Downgrade
+                  { rid = 1; lock_id = !k + 1; mode = Seqdlm.Mode.NBW });
+             Sys.opaque_identity (Seqdlm.Lock_server.stats server).downgrades)))
+    [
+      ("check_server", Check.Invariant.check_server);
+      ("check_server_full", Check.Invariant.check_server_full);
+    ]
+
 let micro_tests =
   Test.make_grouped ~name:"seqdlm-micro"
     [
@@ -255,6 +300,7 @@ let micro_tests =
       bench_interval_index_query;
       Test.make_grouped ~name:"arrivals" bench_arrival_gaps;
       bench_lock_server_contended_pass;
+      Test.make_grouped ~name:"check" bench_check_server;
       bench_engine_events;
       bench_lock_handoff;
       bench_mini_cluster;

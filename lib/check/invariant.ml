@@ -17,32 +17,37 @@ let pp_lock ppf (v : Lock_server.lock_view) =
 (* No two granted locks may overlap unless Table II allows their
    coexistence in at least one direction — the only asymmetric cells are
    the NBW/BW-over-canceling-NBW early grants, which is exactly the
-   documented exception. *)
+   documented exception.  Every pair is checked, whatever its clients. *)
+let compat_pair srv rid (g : Lock_server.lock_view)
+    (h : Lock_server.lock_view) =
+  if Types.ranges_overlap g.v_ranges h.v_ranges then
+    if
+      not
+        (Lcm_oracle.compatible ~req:g.v_mode ~granted:h.v_mode ~state:h.v_state
+        || Lcm_oracle.compatible ~req:h.v_mode ~granted:g.v_mode
+             ~state:g.v_state)
+    then
+      Violation.fail ~inv:"lcm-compat"
+        "%s r%d holds conflicting overlapping grants %a and %a"
+        (Lock_server.name srv) rid pp_lock g pp_lock h
+
 let check_compat srv rid =
-  let locks = Lock_server.granted_locks srv rid in
   let rec pairs = function
     | [] -> ()
-    | (g : Lock_server.lock_view) :: rest ->
-        List.iter
-          (fun (h : Lock_server.lock_view) ->
-            if Types.ranges_overlap g.v_ranges h.v_ranges then
-              if
-                not
-                  (Lcm_oracle.compatible ~req:g.v_mode ~granted:h.v_mode
-                     ~state:h.v_state
-                  || Lcm_oracle.compatible ~req:h.v_mode ~granted:g.v_mode
-                       ~state:g.v_state)
-              then
-                Violation.fail ~inv:"lcm-compat"
-                  "%s r%d holds conflicting overlapping grants %a and %a"
-                  (Lock_server.name srv) rid pp_lock g pp_lock h)
-          rest;
+    | g :: rest ->
+        List.iter (compat_pair srv rid g) rest;
         pairs rest
   in
-  pairs locks
+  pairs (Lock_server.granted_locks srv rid)
 
 (* Write grants consume sequence numbers: per resource they must be
    pairwise distinct and below the sequencer's next value (§III-C). *)
+let check_sn_bound srv rid ~next (v : Lock_server.lock_view) =
+  if v.v_sn >= next then
+    Violation.fail ~inv:"sn-rules"
+      "%s r%d write grant %a carries sn >= next_sn %d" (Lock_server.name srv)
+      rid pp_lock v next
+
 let check_sn srv rid =
   let next = Lock_server.next_sn srv rid in
   let writes =
@@ -50,13 +55,7 @@ let check_sn srv rid =
       (fun (v : Lock_server.lock_view) -> Mode.is_write v.v_mode)
       (Lock_server.granted_locks srv rid)
   in
-  List.iter
-    (fun (v : Lock_server.lock_view) ->
-      if v.v_sn >= next then
-        Violation.fail ~inv:"sn-rules"
-          "%s r%d write grant %a carries sn >= next_sn %d"
-          (Lock_server.name srv) rid pp_lock v next)
-    writes;
+  List.iter (check_sn_bound srv rid ~next) writes;
   let sns = List.map (fun (v : Lock_server.lock_view) -> v.v_sn) writes in
   if List.length sns <> List.length (List.sort_uniq Int.compare sns) then
     Violation.fail ~inv:"sn-rules" "%s r%d has duplicate write-grant SNs: %a"
@@ -66,7 +65,7 @@ let check_sn srv rid =
 
 (* The per-resource queue is FIFO: enqueue timestamps must be
    non-decreasing from head to tail (fairness, §II-A). *)
-let check_fifo srv rid =
+let fifo_walk srv rid waiters =
   let rec walk = function
     | (a : Lock_server.waiter_view) :: (b :: _ as rest) ->
         if a.q_enq_time > b.q_enq_time then
@@ -77,7 +76,9 @@ let check_fifo srv rid =
         walk rest
     | [] | [ _ ] -> ()
   in
-  walk (Lock_server.waiting_view srv rid)
+  walk waiters
+
+let check_fifo srv rid = fifo_walk srv rid (Lock_server.waiting_view srv rid)
 
 let builtin : (string * (Lock_server.t -> Types.resource_id -> unit)) list =
   [
@@ -91,10 +92,129 @@ let extra : (string * (Lock_server.t -> Types.resource_id -> unit)) list ref =
 let register name f = extra := !extra @ [ (name, f) ]
 let checks () = builtin @ !extra
 
-let check_server srv =
+let check_server_full srv =
   List.iter
     (fun rid -> List.iter (fun (_, f) -> f srv rid) (checks ()))
     (Lock_server.resource_ids srv)
+
+(* The incremental checker (DESIGN.md §7).  Given a state the last check
+   vouched for, a transition can only create a violation that involves
+   what it changed: a new compat conflict has a changed lock on one
+   side, a duplicate SN has a changed write grant on one side, and only
+   an enqueue can break FIFO order.  Enqueues append and unlinks keep
+   the order of what is left, so after k enqueues every new adjacency
+   lies among the queue's last k + 1 waiters.  Touched rids are visited in
+   ascending order with the checks in the full sweep's order, so both
+   raise the same [inv] at the same transition. *)
+
+(* Per-server checker state.  [sns] maps (rid, SN) to the lock id of the
+   write grant last seen holding it; an entry can go stale when that
+   lock is released or downgraded, so a hit is confirmed against the
+   server before it counts.  [trusted] means the last check passed and
+   nothing since escaped the delta. *)
+type server_state = {
+  sns : (Types.resource_id * int, int) Hashtbl.t;
+  mutable calls : int;
+  mutable trusted : bool;
+}
+
+(* Keyed by the server itself (physical equality), weakly, so checker
+   state dies with its cluster. *)
+module Server_tbl = Ephemeron.K1.Make (struct
+  type t = Lock_server.t
+
+  let equal = ( == )
+  let hash s =
+    (Hashtbl.hash
+       [@lint.allow
+         "D001 bucket choice only: the table is probed, never traversed, \
+          and equality is physical"])
+      (Lock_server.name s)
+end)
+
+let states : server_state Server_tbl.t = Server_tbl.create 16
+
+(* The full sweep also runs every [full_every]-th call: a backstop that
+   bounds how long a delta-recording gap could go unnoticed. *)
+let full_every = 1024
+
+let state_of srv =
+  match Server_tbl.find_opt states srv with
+  | Some st -> st
+  | None ->
+      let st = { sns = Hashtbl.create 64; calls = 0; trusted = false } in
+      Server_tbl.replace states srv st;
+      st
+
+let is_write (v : Lock_server.lock_view) = Mode.is_write v.v_mode
+
+let reseed st srv =
+  Hashtbl.reset st.sns;
+  List.iter
+    (fun rid ->
+      List.iter
+        (fun (v : Lock_server.lock_view) ->
+          if is_write v then Hashtbl.replace st.sns (rid, v.v_sn) v.v_lock_id)
+        (Lock_server.granted_locks srv rid))
+    (Lock_server.resource_ids srv)
+
+let check_sn_dup st srv rid (v : Lock_server.lock_view) =
+  let holds_sn id =
+    id <> v.v_lock_id
+    &&
+    match Lock_server.granted_lock srv rid id with
+    | Some h -> is_write h && h.v_sn = v.v_sn
+    | None -> false
+  in
+  match Hashtbl.find_opt st.sns (rid, v.v_sn) with
+  | Some id when holds_sn id ->
+      Violation.fail ~inv:"sn-rules" "%s r%d has duplicate write-grant SNs: %a"
+        (Lock_server.name srv) rid
+        (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_lock)
+        (List.filter_map Fun.id [ Lock_server.granted_lock srv rid id; Some v ])
+  | _ -> Hashtbl.replace st.sns (rid, v.v_sn) v.v_lock_id
+
+let check_delta st srv (d : Lock_server.delta) =
+  let rids = List.sort_uniq Int.compare (List.map fst d.changed @ d.queued) in
+  List.iter
+    (fun rid ->
+      let changed =
+        List.filter_map
+          (fun (r, id) -> if r = rid then Some id else None)
+          d.changed
+        |> List.sort_uniq Int.compare
+        |> List.filter_map (Lock_server.granted_lock srv rid)
+      in
+      List.iter
+        (fun (g : Lock_server.lock_view) ->
+          List.iter
+            (fun (h : Lock_server.lock_view) ->
+              if h.v_lock_id <> g.v_lock_id then compat_pair srv rid g h)
+            (Lock_server.granted_overlapping srv rid g.v_ranges))
+        changed;
+      let writes = List.filter is_write changed in
+      let next = Lock_server.next_sn srv rid in
+      List.iter (check_sn_bound srv rid ~next) writes;
+      List.iter (check_sn_dup st srv rid) writes;
+      (match List.length (List.filter (Int.equal rid) d.queued) with
+      | 0 -> ()
+      | k -> fifo_walk srv rid (Lock_server.waiting_tail srv rid (k + 1)));
+      List.iter (fun (_, f) -> f srv rid) !extra)
+    rids
+
+let check_server srv =
+  let st = state_of srv in
+  let delta = Lock_server.take_delta srv in
+  st.calls <- st.calls + 1;
+  let trusted = st.trusted in
+  st.trusted <- false;
+  (match delta with
+  | Some d when trusted && (not d.sweep) && st.calls mod full_every <> 0 ->
+      check_delta st srv d
+  | Some _ | None ->
+      check_server_full srv;
+      reseed st srv);
+  st.trusted <- true
 
 (* Strict SN monotonicity, observed on the live grant stream rather than
    reconstructed from state: each write grant on a resource must carry a

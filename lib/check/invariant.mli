@@ -31,7 +31,16 @@ val checks :
 (** Built-in invariants followed by registered ones. *)
 
 val check_server : Lock_server.t -> unit
-(** Run every registered invariant over every resource of the server. *)
+(** The per-transition check {!Sanitize.attach_server} installs: every
+    invariant, over only what changed since the previous call
+    ({!Lock_server.take_delta}).  It falls back to {!check_server_full}
+    on a server's first check, after a wholesale change, after a caught
+    violation, every 1024th call, and whenever no validator records the
+    server's delta (a direct call on an unchecked server). *)
+
+val check_server_full : Lock_server.t -> unit
+(** Run every registered invariant over every resource of the server —
+    the reference oracle of {!check_server}. *)
 
 val monitor_sn : Lock_server.t -> unit
 (** Chain a tracer that watches the grant stream for SN regressions. *)

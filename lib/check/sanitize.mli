@@ -20,7 +20,14 @@ val enabled : unit -> bool
 val determinism_enabled : unit -> bool
 
 val attach_server : Seqdlm.Lock_server.t -> unit
-(** Install the invariant validator and the SN-monotonicity monitor. *)
+(** Install the invariant validator ({!Invariant.check_server}, the
+    incremental check) and the SN-monotonicity monitor. *)
+
+val with_server_check : (Seqdlm.Lock_server.t -> unit) -> (unit -> 'a) -> 'a
+(** [with_server_check check f] runs [f] with [check] as the validator
+    that every {!attach_server} in its extent installs — how the
+    differential test runs the incremental check and the full sweep side
+    by side through unmodified harnesses. *)
 
 val attach_cluster : Cluster.t -> unit
 (** [attach_server] on every lock server, plus cache audits on every
@@ -32,7 +39,8 @@ val check_ownership : Cluster.t -> unit
     shard map assigns to a different server. *)
 
 val check_cluster : Cluster.t -> unit
-(** One full sweep: Table II cross-check, all server invariants,
+(** One full sweep: Table II cross-check, all server invariants
+    ({!Invariant.check_server_full}),
     shard-ownership exclusivity, all client cache-coverage checks.
     Useful at quiescence even when the per-transition hooks were not
     attached. *)

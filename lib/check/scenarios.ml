@@ -39,7 +39,7 @@ let three_client_contention ~perm choose =
             (fun _ -> incr granted)))
     perm;
   Engine.run eng;
-  Invariant.check_server server;
+  Invariant.check_server_full server;
   if !granted <> 3 then
     Violation.fail ~inv:"liveness" "only %d of 3 contending writers granted"
       !granted

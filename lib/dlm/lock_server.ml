@@ -171,6 +171,12 @@ type t = {
          here (newest first) until commit bounces or abort replays them *)
   mutable sn_reuse_every : int; (* injected sequencer fault: 0 = off *)
   mutable sn_issued : int;
+  (* Sanitizer delta (DESIGN.md §7): what changed since the checker last
+     took it, recorded only while a validator is attached. *)
+  mutable d_changed : (Types.resource_id * int) list; (* newest first *)
+  mutable d_queued : Types.resource_id list; (* newest first *)
+  mutable d_len : int;
+  mutable d_sweep : bool;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -368,6 +374,37 @@ let trace t ev =
 let validate t =
   match t.validator with Some f -> f t | None -> ()
 
+(* Delta recording for the incremental sanitizer.  An unchecked server
+   pays one branch per record site.  Once the wholesale flag is up the
+   lists are moot, and a delta nobody takes collapses into that flag
+   instead of growing without bound. *)
+let delta_cap = 4096
+
+let note_sweep t =
+  t.d_changed <- [];
+  t.d_queued <- [];
+  t.d_len <- 0;
+  t.d_sweep <- true
+
+let recording t =
+  match t.validator with
+  | None -> false
+  | Some _ ->
+      if t.d_len >= delta_cap then note_sweep t;
+      not t.d_sweep
+
+let note_lock t rid lock_id =
+  if recording t then begin
+    t.d_changed <- (rid, lock_id) :: t.d_changed;
+    t.d_len <- t.d_len + 1
+  end
+
+let note_queued t rid =
+  if recording t then begin
+    t.d_queued <- rid :: t.d_queued;
+    t.d_len <- t.d_len + 1
+  end
+
 let repl_emit t ev = match t.repl with Some f -> f ev | None -> ()
 
 let repl_lock t rid (g : lock) =
@@ -529,6 +566,7 @@ let grant_waiter t rs (w : waiter) ~own ~early =
     }
   in
   granted_add rs lock;
+  note_lock t rs.rid lock.id;
   let s = t.stats in
   s.grants <- s.grants + 1;
   if expanded then s.expansions <- s.expansions + 1;
@@ -761,6 +799,7 @@ let submit_one t (req : Types.request) ~reply =
   in
   let node = Dllist.push_back rs.waiting w in
   queue_enqueue t rs w;
+  note_queued t req.rid;
   let q = Dllist.length rs.waiting in
   if q > t.stats.max_queue then t.stats.max_queue <- q;
   Obs.Metrics.observe t.q_depth (float_of_int q);
@@ -850,6 +889,7 @@ let handle_ctl t (msg : Types.ctl_msg) ~reply =
       | Some g when g.state = Lcm.Granted ->
           touch rs;
           g.state <- Lcm.Canceling;
+          note_lock t rid lock_id;
           repl_lock t rid g;
           process t rs
       | Some _ | None -> ())
@@ -860,6 +900,7 @@ let handle_ctl t (msg : Types.ctl_msg) ~reply =
       | Some g ->
           touch rs;
           g.mode <- mode;
+          note_lock t rid lock_id;
           t.stats.downgrades <- t.stats.downgrades + 1;
           repl_lock t rid g;
           process t rs
@@ -909,6 +950,10 @@ let create eng params ~node ~name ~policy =
       frozen = Hashtbl.create 4;
       sn_reuse_every = 0;
       sn_issued = 0;
+      d_changed = [];
+      d_queued = [];
+      d_len = 0;
+      d_sweep = false;
     }
   in
   t.lock_ep <-
@@ -985,6 +1030,7 @@ let sync_resource t rid ~on_behalf ~reply =
   touch rs;
   ignore (Dllist.push_back rs.waiting w);
   queue_enqueue t rs w;
+  note_queued t rid;
   process t rs;
   validate t
 
@@ -1000,6 +1046,7 @@ let crash t =
     (sorted_resources t);
   if Hashtbl.length t.frozen > 0 then
     invalid_arg (t.name ^ ": crash during a resource migration");
+  note_sweep t;
   Hashtbl.reset t.resources;
   t.queued_total <- 0;
   Obs.Metrics.set_gauge t.q_gauge 0.
@@ -1018,6 +1065,7 @@ let crash_online t =
         (fun _ parked acc -> acc + List.length !parked)
         t.frozen 0
   in
+  note_sweep t;
   Hashtbl.reset t.resources;
   Hashtbl.reset t.frozen;
   t.queued_total <- 0;
@@ -1047,6 +1095,7 @@ let reinstall t ~client ~locks =
         }
       in
       granted_add rs lock;
+      note_lock t rid lock_id;
       if lock_id >= t.next_lock_id then t.next_lock_id <- lock_id + 1;
       if sn >= rs.next_sn then rs.next_sn <- sn + 1;
       (* Reinstalls feed the log too: a recovered (or adopting) primary
@@ -1177,6 +1226,7 @@ let migrate_out t rid ~epoch =
       List.iter (fun (_req, reply) -> bounce reply) (List.rev !parked);
       bounced := !bounced + List.length !parked;
       repl_emit t (R_drop_resource { e_rid = rid });
+      note_sweep t;
       validate t;
       Some { st with mig_bounced = !bounced }
 
@@ -1209,23 +1259,40 @@ type lock_view = {
   v_state : Lcm.lock_state;
 }
 
+let view_of_lock (g : lock) =
+  {
+    v_lock_id = g.id;
+    v_client = g.client;
+    v_mode = g.mode;
+    v_ranges = g.ranges;
+    v_sn = g.sn;
+    v_state = g.state;
+  }
+
+let by_lock_id a b = Int.compare a.v_lock_id b.v_lock_id
+
 let granted_locks t rid =
   match Hashtbl.find_opt t.resources rid with
   | None -> []
   | Some rs ->
-      granted_fold
-        (fun (g : lock) acc ->
-          {
-            v_lock_id = g.id;
-            v_client = g.client;
-            v_mode = g.mode;
-            v_ranges = g.ranges;
-            v_sn = g.sn;
-            v_state = g.state;
-          }
-          :: acc)
-        rs []
-      |> List.sort (fun a b -> Int.compare a.v_lock_id b.v_lock_id)
+      granted_fold (fun g acc -> view_of_lock g :: acc) rs []
+      |> List.sort by_lock_id
+
+let granted_lock t rid lock_id =
+  match Hashtbl.find_opt t.resources rid with
+  | None -> None
+  | Some rs -> Option.map view_of_lock (find_lock rs lock_id)
+
+let granted_overlapping t rid ranges =
+  match Hashtbl.find_opt t.resources rid with
+  | None -> []
+  | Some rs ->
+      List.filter_map
+        (fun (g : lock) ->
+          if Types.ranges_overlap ranges g.ranges then Some (view_of_lock g)
+          else None)
+        (hull_overlapping rs ranges)
+      |> List.sort by_lock_id
 
 type waiter_view = {
   q_client : Types.client_id;
@@ -1236,21 +1303,25 @@ type waiter_view = {
   q_internal : bool;
 }
 
+let view_of_waiter (w : waiter) =
+  {
+    q_client = w.req.client;
+    q_mode = w.req.mode;
+    q_eff_mode = w.eff_mode;
+    q_ranges = w.req.ranges;
+    q_enq_time = w.enq_time;
+    q_internal = w.internal;
+  }
+
 let waiting_view t rid =
   match Hashtbl.find_opt t.resources rid with
   | None -> []
-  | Some rs ->
-      List.map
-        (fun (w : waiter) ->
-          {
-            q_client = w.req.client;
-            q_mode = w.req.mode;
-            q_eff_mode = w.eff_mode;
-            q_ranges = w.req.ranges;
-            q_enq_time = w.enq_time;
-            q_internal = w.internal;
-          })
-        (Dllist.to_list rs.waiting)
+  | Some rs -> List.map view_of_waiter (Dllist.to_list rs.waiting)
+
+let waiting_tail t rid n =
+  match Hashtbl.find_opt t.resources rid with
+  | None -> []
+  | Some rs -> List.map view_of_waiter (Dllist.last_values rs.waiting n)
 
 let resource_ids t = Det_tbl.sorted_keys ~cmp:Int.compare t.resources
 
@@ -1259,7 +1330,12 @@ let queue_length t rid =
   | None -> 0
   | Some rs -> Dllist.length rs.waiting
 
-let next_sn t rid = (rstate t rid).next_sn
+(* A read must not create state: an unknown resource reports the value a
+   fresh one would start from. *)
+let next_sn t rid =
+  match Hashtbl.find_opt t.resources rid with
+  | Some rs -> rs.next_sn
+  | None -> 1
 let stats t = t.stats
 let policy t = t.policy
 let node t = t.node
@@ -1276,8 +1352,38 @@ let add_tracer t f =
             g now ev;
             f now ev)
 
-let set_validator t f = t.validator <- Some f
-let clear_validator t = t.validator <- None
+(* Nothing was recorded before the attach, so the first delta says
+   "sweep everything". *)
+let set_validator t f =
+  t.validator <- Some f;
+  note_sweep t
+
+let clear_validator t =
+  t.validator <- None;
+  note_sweep t
+
+type delta = {
+  changed : (Types.resource_id * int) list;
+  queued : Types.resource_id list;
+  sweep : bool;
+}
+
+let take_delta t =
+  match t.validator with
+  | None -> None
+  | Some _ ->
+      let d =
+        {
+          changed = List.rev t.d_changed;
+          queued = List.rev t.d_queued;
+          sweep = t.d_sweep;
+        }
+      in
+      t.d_changed <- [];
+      t.d_queued <- [];
+      t.d_len <- 0;
+      t.d_sweep <- false;
+      Some d
 let set_repl_hook t f = t.repl <- Some f
 let clear_repl_hook t = t.repl <- None
 

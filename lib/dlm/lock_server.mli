@@ -127,10 +127,35 @@ val add_tracer : t -> (float -> trace_event -> unit) -> unit
     after every externally triggered state transition — lock request,
     control message (revoke-ack / downgrade / release), and resource sync —
     once the scheduling passes it caused have settled.  The lock server
-    carries no knowledge of what is being checked. *)
+    carries no knowledge of what is being checked.
+
+    While a validator is attached the server also records a {!delta}:
+    what changed since the last {!take_delta}, so a checker can look at
+    only that (DESIGN.md §7).  Without a validator nothing is recorded. *)
 
 val set_validator : t -> (t -> unit) -> unit
+(** Install the validator.  The first delta taken afterwards has
+    [sweep] set: nothing before the attach was recorded. *)
+
 val clear_validator : t -> unit
+
+type delta = {
+  changed : (Types.resource_id * int) list;
+      (** (rid, lock id) of every lock granted, reinstalled, acked to
+          CANCELING or downgraded, oldest first; ids may repeat and may
+          since have been released *)
+  queued : Types.resource_id list;
+      (** the rid of every enqueue, oldest first: a rid appears once per
+          new waiter *)
+  sweep : bool;
+      (** the table changed wholesale ([crash], [crash_online],
+          [migrate_out], a validator attach, or an overflowing delta):
+          only a full sweep can vouch for it *)
+}
+
+val take_delta : t -> delta option
+(** The changes since the previous call, then reset.  [None] while no
+    validator is attached. *)
 
 (** {1 Replication feed (lib/repl, DESIGN.md §16)}
 
@@ -290,6 +315,14 @@ type lock_view = {
 val granted_locks : t -> Types.resource_id -> lock_view list
 (** Sorted by lock id. *)
 
+val granted_lock : t -> Types.resource_id -> int -> lock_view option
+(** The granted lock with this id, if it is still held. *)
+
+val granted_overlapping :
+  t -> Types.resource_id -> Ccpfs_util.Interval.t list -> lock_view list
+(** The granted locks whose ranges overlap [ranges], sorted by lock id —
+    found through the grant interval index, not a scan. *)
+
 type waiter_view = {
   q_client : Types.client_id;
   q_mode : Mode.t;  (** as requested *)
@@ -302,11 +335,18 @@ type waiter_view = {
 val waiting_view : t -> Types.resource_id -> waiter_view list
 (** The resource's FIFO queue, head first. *)
 
+val waiting_tail : t -> Types.resource_id -> int -> waiter_view list
+(** The last [n] waiters of the queue (all if fewer), head first. *)
+
 val resource_ids : t -> Types.resource_id list
 (** Every resource this server has state for, ascending. *)
 
 val queue_length : t -> Types.resource_id -> int
+
 val next_sn : t -> Types.resource_id -> int
+(** The SN the resource's next write grant would take; [1] for a
+    resource this server holds no state for (the read creates none). *)
+
 val stats : t -> stats
 val policy : t -> Policy.t
 val node : t -> Netsim.Node.t

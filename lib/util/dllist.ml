@@ -38,13 +38,21 @@ let remove t n =
   (* Keep [n.next]: an in-place walk parked on [n] when a re-entrant
      mutation removed it can still step forward ([succ]).  The stale
      link retains at most the removed segment, which is garbage as soon
-     as the walk passes it.  [prev] is dropped — nothing walks backwards
-     — so removed nodes never chain a backward retention path. *)
+     as the walk passes it.  [prev] is dropped — the only backward walk
+     ([last_values]) starts from the live tail, never from a removed
+     node — so removed nodes never chain a backward retention path. *)
   n.prev <- None;
   t.len <- t.len - 1
 
 let first_node t = t.first
 let succ n = n.next
+
+let last_values t n =
+  let rec go acc k = function
+    | Some nd when k > 0 -> go (nd.value :: acc) (k - 1) nd.prev
+    | Some _ | None -> acc
+  in
+  go [] n t.last
 
 let iter f t =
   let rec go = function

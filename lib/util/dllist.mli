@@ -33,6 +33,9 @@ val succ : 'a node -> 'a node option
     still leads back into the live chain.  Check {!active} before using
     a node reached this way. *)
 
+val last_values : 'a t -> int -> 'a list
+(** The last [n] values (all of them if fewer), head-to-tail; O(n). *)
+
 val iter : ('a -> unit) -> 'a t -> unit
 (** Head-to-tail; safe against removal of the current node by [f]. *)
 

@@ -56,6 +56,210 @@ let test_clean_state_passes () =
     ~locks:[ (1, 2, Mode.NBW, [ iv 8192 12288 ], 2, Lcm.Granted) ];
   Check.Invariant.check_server server
 
+let test_next_sn_creates_no_state () =
+  let _, server = make_server () in
+  Lock_server.reinstall server ~client:0
+    ~locks:[ (1, 1, Mode.NBW, [ iv 0 4096 ], 4, Lcm.Granted) ];
+  let before = Lock_server.resource_ids server in
+  Alcotest.(check int) "known resource" 5 (Lock_server.next_sn server 1);
+  Alcotest.(check int) "unknown resource reads fresh" 1
+    (Lock_server.next_sn server 42);
+  Alcotest.(check (list int)) "resource_ids unchanged" before
+    (Lock_server.resource_ids server)
+
+(* ------------------------------------------------------------------ *)
+(* Incremental check vs full sweep (differential)                      *)
+(* ------------------------------------------------------------------ *)
+
+(* A validator that runs the incremental check and the full sweep on
+   every transition.  A disagreement is recorded rather than raised, so
+   a harness that folds exceptions into failure reports cannot hide it;
+   an agreed violation is re-raised, so the run fails exactly as it would
+   under the plain sanitizer. *)
+type diff = {
+  mutable transitions : int;
+  mutable caught : (int * string) list; (* (transition, inv), newest first *)
+  mutable disagreements : string list;
+}
+
+let new_diff () = { transitions = 0; caught = []; disagreements = [] }
+
+let differential d srv =
+  d.transitions <- d.transitions + 1;
+  let verdict check =
+    match check srv with
+    | () -> None
+    | exception Check.Violation.Violation v -> Some v
+  in
+  let inc = verdict Check.Invariant.check_server in
+  let full = verdict Check.Invariant.check_server_full in
+  let inv = Option.map (fun (v : Check.Violation.t) -> v.inv) in
+  let show = Option.value ~default:"clean" in
+  if inv inc <> inv full then
+    d.disagreements <-
+      Printf.sprintf "%s transition %d: incremental %s, full %s"
+        (Lock_server.name srv) d.transitions (show (inv inc))
+        (show (inv full))
+      :: d.disagreements;
+  match (full, inc) with
+  | Some v, _ | None, Some v ->
+      d.caught <- (d.transitions, v.inv) :: d.caught;
+      raise (Check.Violation.Violation v)
+  | None, None -> ()
+
+let check_agreed d =
+  Alcotest.(check (list string)) "incremental and full agree" []
+    (List.rev d.disagreements)
+
+(* Run [f] with every sanitized server validated differentially. *)
+let with_differential f =
+  let d = new_diff () in
+  let r = Check.Sanitize.with_server_check (differential d) f in
+  check_agreed d;
+  (d, r)
+
+let fuzz_base = Fuzz.Seed.base ()
+
+(* The clean corpus: the suite's seed range plus the seeds CI pins
+   (replay failover, armed double failure, partitions under load,
+   partitions with a double failure).  Neither checker may raise. *)
+let test_differential_fuzz_corpus () =
+  let d, summary =
+    with_differential (fun () ->
+        let summary = Fuzz.Driver.run_range ~base:fuzz_base ~count:40 () in
+        List.iter
+          (fun seed -> ignore (Fuzz.Exec.run (Fuzz.Gen.of_seed seed)))
+          [ 24311; 24316; 24321; 24349 ];
+        summary)
+  in
+  (match summary.failure with
+  | Some f -> Alcotest.failf "seed %d failed: %s" f.seed f.reason
+  | None -> ());
+  Alcotest.(check bool)
+    (Printf.sprintf "transitions validated (%d)" d.transitions)
+    true (d.transitions > 1000)
+
+(* Forced faults: message loss plus a mid-phase crash in every case, so
+   the wholesale-change path (crash, gather, reinstall) runs throughout. *)
+let test_differential_forced_faults () =
+  let _, summary =
+    with_differential (fun () ->
+        Fuzz.Driver.run_range ~faults:true ~base:fuzz_base ~count:4 ())
+  in
+  match summary.failure with
+  | Some f -> Alcotest.failf "seed %d failed: %s" f.seed f.reason
+  | None -> ()
+
+(* The planted sequencer bug through the fuzzer: whichever oracle stops
+   the run, the two checkers agreed on every transition before it. *)
+let test_differential_fuzz_sn_reuse () =
+  let _, summary =
+    with_differential (fun () ->
+        Fuzz.Driver.run_range ~inject:Fuzz.Exec.Sn_reuse ~shrink_budget:0
+          ~base:fuzz_base ~count:200 ())
+  in
+  match summary.failure with
+  | None -> Alcotest.fail "planted SN-reuse bug survived 200 seeds"
+  | Some f ->
+      let rec has_sn i =
+        i + 3 <= String.length f.reason
+        && (String.sub f.reason i 3 = "sn-" || has_sn (i + 1))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "an SN invariant caught it (got: %s)" f.reason)
+        true (has_sn 0)
+
+(* A directly driven server under the differential validator, with
+   callback endpoints registered so revocations can be sent. *)
+let diff_server n_clients =
+  let eng, server = make_server () in
+  for cid = 0 to n_clients - 1 do
+    let node =
+      Netsim.Node.create eng params ~name:(Printf.sprintf "c%d" cid) ()
+    in
+    Lock_server.register_client server cid
+      (Netsim.Rpc.endpoint eng params ~node
+         ~name:(Printf.sprintf "c%d.cb" cid)
+         ~handler:(fun _ ~reply -> reply ()))
+  done;
+  let d = new_diff () in
+  Lock_server.set_validator server (differential d);
+  (server, d)
+
+let submit server ~client ~rid mode ranges =
+  let got = ref None in
+  Lock_server.submit server
+    { Types.client; rid; mode; ranges }
+    ~on_grant:(fun g -> got := Some g);
+  !got
+
+(* Clean traffic that leaves the incremental checker trusted: reads and
+   disjoint writes on two resources, a conflicting writer that queues,
+   a revoke-ack, a release that lets it through, a downgrade. *)
+let warm_up server =
+  let r1 = submit server ~client:0 ~rid:1 Mode.PR [ iv 0 4096 ] in
+  ignore (submit server ~client:1 ~rid:1 Mode.NBW [ iv 8192 12288 ]);
+  ignore (submit server ~client:2 ~rid:2 Mode.NBW [ iv 1048576 1052672 ]);
+  ignore (submit server ~client:3 ~rid:1 Mode.PW [ iv 0 4096 ]);
+  match r1 with
+  | Some g ->
+      let ctl m = Lock_server.control server m in
+      ctl (Types.Revoke_ack { rid = 1; lock_id = g.lock_id });
+      ctl (Types.Release { rid = 1; lock_id = g.lock_id });
+      ctl (Types.Downgrade { rid = 1; lock_id = g.lock_id; mode = Mode.PR })
+  | None -> Alcotest.fail "first read not granted"
+
+(* Corrupt the table through [reinstall] mid-run: the next transition
+   (a submit on an untouched resource) must be flagged by both checkers
+   with the same [inv]. *)
+let corrupted_mid_run inv corrupt () =
+  let server, d = diff_server 8 in
+  warm_up server;
+  let clean = d.transitions in
+  Alcotest.(check (list (pair int string))) "warm-up is clean" [] d.caught;
+  corrupt server;
+  expect_violation inv (fun () ->
+      ignore (submit server ~client:7 ~rid:9 Mode.PR [ iv 0 4096 ]));
+  check_agreed d;
+  Alcotest.(check (list (pair int string)))
+    "flagged at the transition after the corruption"
+    [ (clean + 1, inv) ]
+    d.caught
+
+let plant_pw_beside_pr server =
+  (* A PW over the range client 1 holds in NBW, and over nothing else. *)
+  Lock_server.reinstall server ~client:5
+    ~locks:[ (1, 100, Mode.PW, [ iv 8192 9000 ], 90, Lcm.Granted) ]
+
+let plant_duplicate_sn server =
+  (* Below the r2 write grant, which expanded upwards only: no overlap,
+     so only the SN rule is broken. *)
+  let sn =
+    match
+      List.find_opt
+        (fun (v : Lock_server.lock_view) -> Mode.is_write v.v_mode)
+        (Lock_server.granted_locks server 2)
+    with
+    | Some v -> v.v_sn
+    | None -> Alcotest.fail "no write grant on r2"
+  in
+  Lock_server.reinstall server ~client:6
+    ~locks:[ (2, 101, Mode.NBW, [ iv 0 4096 ], sn, Lcm.Granted) ]
+
+(* [inject_sn_reuse] on a directly driven server (no SN-monotone tracer
+   to stop it first): the reissued SN of the second write grant is a
+   duplicate the moment it is granted beside the first. *)
+let test_differential_inject_sn_reuse () =
+  let server, d = diff_server 2 in
+  Lock_server.inject_sn_reuse server ~every:2;
+  (* The first grant expands upwards to EOF, so the second sits below. *)
+  ignore (submit server ~client:0 ~rid:1 Mode.NBW [ iv 65536 69632 ]);
+  expect_violation "sn-rules" (fun () ->
+      ignore (submit server ~client:1 ~rid:1 Mode.NBW [ iv 0 4096 ]));
+  check_agreed d;
+  Alcotest.(check (list (pair int string)))
+    "caught at the reusing grant" [ (2, "sn-rules") ] d.caught
+
 (* ------------------------------------------------------------------ *)
 (* Cache-under-lock                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -371,10 +575,27 @@ let suite =
         Alcotest.test_case "injected duplicate SN caught" `Quick
           test_catches_duplicate_sn;
         Alcotest.test_case "clean state passes" `Quick test_clean_state_passes;
+        Alcotest.test_case "next_sn read creates no state" `Quick
+          test_next_sn_creates_no_state;
         Alcotest.test_case "dirty data without lock flagged" `Quick
           test_dirty_without_lock_flagged;
         Alcotest.test_case "dirty data under lock passes" `Quick
           test_dirty_under_lock_passes;
+      ] );
+    ( "check.differential",
+      [
+        Alcotest.test_case "fuzz corpus: incremental == full, both clean"
+          `Quick test_differential_fuzz_corpus;
+        Alcotest.test_case "forced-fault cases: incremental == full" `Quick
+          test_differential_forced_faults;
+        Alcotest.test_case "fuzz SN reuse: agree until caught" `Quick
+          test_differential_fuzz_sn_reuse;
+        Alcotest.test_case "PW beside PR planted mid-run" `Quick
+          (corrupted_mid_run "lcm-compat" plant_pw_beside_pr);
+        Alcotest.test_case "duplicate SN planted mid-run" `Quick
+          (corrupted_mid_run "sn-rules" plant_duplicate_sn);
+        Alcotest.test_case "inject_sn_reuse caught at the same grant" `Quick
+          test_differential_inject_sn_reuse;
       ] );
     ( "check.deadlock",
       [

@@ -453,7 +453,13 @@ let prop_dllist_matches_model =
       Dllist.to_list l = !model
       && Dllist.length l = List.length !model
       && Dllist.fold (fun acc x -> acc + x) l 0
-         = List.fold_left ( + ) 0 !model)
+         = List.fold_left ( + ) 0 !model
+      && List.for_all
+           (fun k ->
+             let len = List.length !model in
+             Dllist.last_values l k
+             = List.filteri (fun i _ -> i >= len - k) !model)
+           [ 0; 1; 3; List.length !model + 1 ])
 
 (* ------------------------------------------------------------------ *)
 (* Interval_index                                                      *)
