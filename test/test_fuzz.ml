@@ -317,6 +317,42 @@ let test_case_json_shape () =
         "seed survives" (Some case.Fuzz.Case.seed)
         (Option.bind (Obs.Json.member "seed" doc) Obs.Json.get_int)
 
+(* ---- golden fingerprints ---- *)
+
+(* Pinned engine fingerprints: the event order of these runs must
+   survive any refactor of the transport, the lock protocol or the
+   engine.  A change that moves an event, a message or a random draw
+   fails here.  The cases cover plain SeqDLM (seed 10 batched with
+   release piggybacking, seed 22 unbatched), fenced HA with replication,
+   partitions and open-loop load (26, 24311, 24321), and forced faults
+   with loss, duplication, batching and a double failure (24301,
+   24303).  The values hold for the default configuration:
+   [CCPFS_BATCH] and [CCPFS_REPL] rewrite every case, so the test is
+   skipped when either is set. *)
+let golden =
+  [
+    (10, false, -643847597796707304L);
+    (22, false, -1288071082933724062L);
+    (26, false, 3876633068602298773L);
+    (24311, false, 1288749261932126795L);
+    (24321, false, 703820488833181191L);
+    (24301, true, 2143839352754567405L);
+    (24303, true, -4429900275590631961L);
+  ]
+
+let test_golden_fingerprints () =
+  let set v =
+    match Sys.getenv_opt v with None | Some "" -> false | Some _ -> true
+  in
+  if set "CCPFS_BATCH" || set "CCPFS_REPL" then Alcotest.skip ();
+  List.iter
+    (fun (seed, faults, fp) ->
+      let o = Fuzz.Exec.run (Fuzz.Gen.of_seed ~faults seed) in
+      Alcotest.(check int64)
+        (Printf.sprintf "seed %d%s" seed (if faults then " --faults" else ""))
+        fp o.fingerprint)
+    golden
+
 let suite =
   [
     ( "fuzz",
@@ -325,6 +361,8 @@ let suite =
           test_seed_range_passes;
         Alcotest.test_case "same seed, same fingerprint" `Quick
           test_same_seed_same_fingerprint;
+        Alcotest.test_case "golden fingerprints" `Quick
+          test_golden_fingerprints;
         Alcotest.test_case "analytic differential oracle" `Quick
           test_analytic_oracle_runs;
         Alcotest.test_case "planted SN reuse: caught and minimized" `Quick
