@@ -63,7 +63,6 @@ type t = {
   mutable revoke_ep : (Types.server_msg, unit) Rpc.endpoint option;
   mutable recover_ep : (recovery_query, recovery_lock list) Rpc.endpoint option;
   view : Rpc.View.t;
-  mutable rel : Rpc.reliability option;
   mutable map_refresh : (min_epoch:int -> unit) option;
       (* installed by the cluster: fetch a shard-map snapshot of at least
          [min_epoch] and install it into the cache [route] consults *)
@@ -130,23 +129,19 @@ let pb_arm t q delay =
   end
 
 (* Control messages (release / downgrade / revoke-ack) are fire-and-
-   forget.  Under the HA regime they must also be *reliable*: a Release
-   dropped during a server outage — after the recovery coordinator has
-   gathered this client's locks — would leave the reinstalled grant held
-   forever.  The server-side handlers no-op on unknown lock ids, so a
-   retransmission landing after recovery is always safe regardless of
-   whether the lock was gathered. *)
+   forget.  Under a retry policy the view makes them *reliable*: a
+   Release dropped during a server outage — after the recovery
+   coordinator has gathered this client's locks — would leave the
+   reinstalled grant held forever.  The server-side handlers no-op on
+   unknown lock ids, so a retransmission landing after recovery is always
+   safe regardless of whether the lock was gathered. *)
 let send_ctl t srv msg =
-  let ep = Lock_server.ctl_endpoint srv in
-  match t.rel with
-  | Some rel -> Rpc.send_reliable ep ~src:t.node ~reliability:rel ~view:t.view msg
-  | None -> (
-      match t.piggyback with
-      | None -> Rpc.notify ep ~src:t.node msg
-      | Some delay ->
-          let q = pb_queue t srv in
-          q.pb_msgs <- msg :: q.pb_msgs;
-          pb_arm t q delay)
+  match t.piggyback with
+  | None -> Rpc.send (Lock_server.ctl_endpoint srv) ~src:t.node ~view:t.view msg
+  | Some delay ->
+      let q = pb_queue t srv in
+      q.pb_msgs <- msg :: q.pb_msgs;
+      pb_arm t q delay
 
 (* The cancel path (§III-A2, §III-D2).  Runs as its own process: waits
    out ongoing holders, downgrades, flushes, releases. *)
@@ -193,12 +188,12 @@ let start_cancel t (l : cached_lock) =
            courier disappears (DESIGN.md §13). *)
         let flush_release () =
           let parked =
-            match (t.rel, t.piggyback) with
-            | None, Some _ ->
+            match t.piggyback with
+            | Some _ ->
                 let q = pb_queue t srv in
                 q.pb_msgs <- release_msg :: q.pb_msgs;
                 true
-            | _ -> false
+            | None -> false
           in
           t.hooks.flush ~rid:l.rid ~ranges:l.ranges;
           release ~parked ()
@@ -286,7 +281,7 @@ let handle_recovery_query t (q : recovery_query) =
   in
   locks_for_recovery t ~owned
 
-let create eng params ~node ~client_id ~route ~hooks =
+let create ?view eng params ~node ~client_id ~route ~hooks =
   let t =
     {
       eng; params; node; id = client_id; route; hooks;
@@ -298,8 +293,10 @@ let create eng params ~node ~client_id ~route ~hooks =
       piggyback = None;
       revoke_ep = None;
       recover_ep = None;
-      view = Rpc.View.create ~salt:client_id ();
-      rel = None;
+      view =
+        (match view with
+        | Some v -> v
+        | None -> Rpc.View.create ~salt:client_id ());
       map_refresh = None;
       locking = 0.;
       n_acquires = 0;
@@ -396,16 +393,7 @@ let acquire t ~rid ~mode ~ranges =
         | Some q -> pb_drain t q
         | None -> ());
         let ep = Lock_server.lock_endpoint srv in
-        let resp =
-          match t.rel with
-          | None -> Rpc.call ep ~src:t.node req
-          | Some rel ->
-              (* Fenced + retried: survives a server crash while the
-                 request (or its grant) is in flight. *)
-              Rpc.call_reliable ep ~src:t.node ~reliability:rel ~view:t.view
-                req
-        in
-        match resp with
+        match Rpc.request ep ~src:t.node ~view:t.view req with
         | Types.Granted g -> g
         | Types.Stale_owner { epoch } ->
             t.n_stale <- t.n_stale + 1;
@@ -461,8 +449,6 @@ let cache_hits t = t.n_hits
 let cancels t = t.n_cancels
 let cached_locks t = Hashtbl.length t.locks
 let client_id t = t.id
-let view t = t.view
-let set_reliability t rel = t.rel <- Some rel
 let set_map_refresh t f = t.map_refresh <- Some f
 let stale_bounces t = t.n_stale
 
@@ -479,6 +465,5 @@ let take_piggyback t ~rid =
       with
       | None -> []
       | Some q -> pb_take q)
-let reliability t = t.rel
 let retries t = Rpc.View.retries t.view
 let recovery_endpoint t = Option.get t.recover_ep

@@ -32,13 +32,19 @@ type hooks = {
 }
 
 val create :
-  Dessim.Engine.t -> Netsim.Params.t -> node:Netsim.Node.t ->
-  client_id:Types.client_id -> route:(Types.resource_id -> Lock_server.t) ->
-  hooks:hooks -> t
+  ?view:Netsim.Rpc.View.t -> Dessim.Engine.t -> Netsim.Params.t ->
+  node:Netsim.Node.t -> client_id:Types.client_id ->
+  route:(Types.resource_id -> Lock_server.t) -> hooks:hooks -> t
 (** [route] maps a resource to the lock server owning it (ccPFS colocates
     the DLM service for a stripe with the data server storing it).  The
     client registers its callback endpoint with each server on first
-    contact.  The conversion policy is taken from each server's policy. *)
+    contact.  The conversion policy is taken from each server's policy.
+
+    [view] is the client's epoch view and decides its transport: with a
+    retry policy ({!Netsim.Rpc.View.create}[ ~reliability]) lock requests
+    are fenced and retried and control messages become reliable sends, so
+    the client survives a lock-server crash with requests in flight.
+    The default is a plain view salted with [client_id]. *)
 
 type handle
 (** A held reference to a cached lock.  Must be released exactly once. *)
@@ -82,17 +88,6 @@ val locks_for_recovery :
 (** The cached locks whose resources the recovering server owns
     (canceling locks included: their releases are still coming). *)
 
-(** {1 Online failover (lib/ha)}
-
-    With a retry policy installed, lock requests go through the fenced
-    transport ({!Netsim.Rpc.call_reliable}) and control messages become
-    reliable sends — the client survives a lock-server crash with
-    requests in flight.  Without one, behaviour is identical to the
-    plain paths. *)
-
-val set_reliability : t -> Netsim.Rpc.reliability -> unit
-val reliability : t -> Netsim.Rpc.reliability option
-
 (** {1 Sharded namespace (DESIGN.md §15)}
 
     In a sharded cluster the [route] closure reads a shard-map cache,
@@ -125,10 +120,6 @@ val take_piggyback : t -> rid:Types.resource_id -> Types.ctl_msg list
 (** Remove and return every parked control message for the server owning
     [rid], in send order; [[]] when piggybacking is off or nothing is
     parked. *)
-
-val view : t -> Netsim.Rpc.View.t
-(** The client's epoch view and request-id allocator, shared with the
-    PFS layer so data-server I/O is fenced by the same epochs. *)
 
 val retries : t -> int
 (** Fenced-call retransmissions performed so far (all endpoints). *)

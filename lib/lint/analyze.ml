@@ -57,7 +57,8 @@ let d003_idents =
   [ "Unix.gettimeofday"; "Unix.time"; "Sys.time"; "Unix.localtime";
     "Unix.gmtime" ]
 
-let p001_rpc_entries = [ "Rpc.call"; "Rpc.call_reliable"; "Rpc.call_fenced" ]
+let p001_rpc_entries =
+  [ "Rpc.call"; "Rpc.call_reliable"; "Rpc.call_fenced"; "Rpc.request" ]
 
 let p001_reply_types =
   [

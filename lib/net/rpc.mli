@@ -6,13 +6,16 @@
     (1 / OPS, FIFO — what bounds term ① of Eq. 1) and, for the reply,
     another half RTT plus payload occupancy of the caller's NIC.
 
-    Each request runs its handler in a dedicated courier process, so a
-    handler may block on simulated resources (a data server's write
-    handler occupies the disk before replying) without stalling the
-    server's other requests beyond the FIFO resources it holds.  A handler
-    either calls [reply] before returning or stores it and fires it later
-    (how lock servers defer grants during conflict resolution).  Deferred
-    or not, the reply's network cost is charged when [reply] runs.
+    Every message takes one pipeline: the batch queue (when batching is
+    on), a courier process that pays the arrival costs and runs the
+    handler, and one reply leg; a fence stamp ({!section:fenced}) turns
+    on the failover stages.  Running in its courier, a handler may block
+    on simulated resources (a data server's write handler occupies the
+    disk before replying) without stalling the server's other requests
+    beyond the FIFO resources it holds.  A handler either calls [reply]
+    before returning or stores it and fires it later (how lock servers
+    defer grants during conflict resolution).  Deferred or not, the
+    reply's network cost is charged when [reply] runs.
 
     One-way notifications ({!notify}) model the server→client callbacks of
     the lock protocol (revocations); they never block the sender. *)
@@ -55,9 +58,9 @@ val calls : ('req, 'resp) endpoint -> int
     after the queue first went non-empty.  The batch courier pays half an
     RTT, NIC occupancy for the summed payload, and — the point of the
     exercise — a single RPC-processor operation for the whole batch.
-    Messages are delivered strictly in enqueue order.  Fenced traffic
-    ({!call_fenced}/{!call_reliable}) never batches: its loss, dup and
-    fencing model is per-message. *)
+    Messages are delivered strictly in enqueue order.  Only unstamped
+    messages enter the batch queue: a stamped message's loss, dup and
+    fencing model is per message. *)
 
 val set_batching :
   ('req, 'resp) endpoint -> max_batch:int -> delay:float -> unit
@@ -80,15 +83,24 @@ val set_batch_handler :
 val name : ('req, 'resp) endpoint -> string
 (** The service name the endpoint registered under (diagnostics). *)
 
-(** {1 Fenced transport}
+(** {1:fenced Fenced transport}
 
     The failover machinery (lib/ha) needs four things the plain paths
     above don't model: per-call timeouts with jittered-exponential-backoff
     retries, request-id-based at-most-once execution on the server,
     epoch fencing (a recovered server rejects requests — and clients
     discard replies — stamped with a fenced-off epoch), and injectable
-    message loss/duplication.  All of it lives on separate entry points:
-    {!call} and {!notify} are byte-for-byte unaffected. *)
+    message loss/duplication.  A fence stamp — the caller's epoch, an
+    optional request id and the incarnation the message was sent to —
+    turns on these stages of the one pipeline:
+    - a fault draw at send time (lost, delivered, or delivered twice),
+      and no batch queue;
+    - a liveness gate before and after the NIC and RPC processor: a down
+      or reset-since-send endpoint drops the message;
+    - the epoch fence, then at-most-once dedup when there is a request id;
+    - a fault draw that may drop the reply.
+    {!call_fenced}, {!call_reliable} and {!send_reliable} stamp every
+    message; {!call} and {!notify} never do. *)
 
 type reliability = {
   rel_timeout : float;      (** per-attempt reply deadline, seconds *)
@@ -109,9 +121,12 @@ type 'resp attempt =
 module View : sig
   type t
 
-  val create : ?salt:int -> unit -> t
+  val create : ?salt:int -> ?reliability:reliability -> unit -> t
   (** [salt] partitions the request-id space between callers, so ids are
-      unique per endpoint across the cluster. *)
+      unique per endpoint across the cluster.  [reliability] is the
+      caller's retry policy: it picks the transport of {!request} and
+      {!send}, and the per-attempt deadline and backoff of
+      {!call_reliable}. *)
 
   val epoch : t -> string -> int
   val observe : t -> string -> int -> unit
@@ -135,20 +150,33 @@ val call_fenced :
 
 val call_reliable :
   ('req, 'resp) endpoint -> src:Node.t -> ?req_bytes:int -> ?resp_bytes:int ->
-  ?reliability:reliability -> view:View.t -> 'req -> 'resp
+  view:View.t -> 'req -> 'resp
 (** Retry {!call_fenced} under one request id until a same-or-newer-epoch
     reply arrives, observing epoch bumps into [view] and sleeping a
     jittered exponential backoff between attempts ({!Engine.random_float},
-    so retries are deterministic).  Without [reliability] each attempt
-    waits forever — equivalent to {!call} plus fencing and dedup. *)
+    so retries are deterministic).  The policy is [view]'s; without one
+    each attempt waits forever — equivalent to {!call} plus fencing and
+    dedup. *)
 
 val send_reliable :
   ('req, 'resp) endpoint -> src:Node.t -> ?req_bytes:int ->
-  ?reliability:reliability -> view:View.t -> 'req -> unit
+  view:View.t -> 'req -> unit
 (** Fire-and-forget {!call_reliable} from a courier process: the caller
     continues immediately, the courier retries until the message is
     acknowledged.  The reliable replacement for {!notify} — control
     messages (releases, revoke acks) must survive a server outage. *)
+
+val request :
+  ('req, 'resp) endpoint -> src:Node.t -> ?req_bytes:int -> ?resp_bytes:int ->
+  view:View.t -> 'req -> 'resp
+(** A request on the caller's transport: {!call_reliable} when [view]
+    carries a retry policy, {!call} otherwise. *)
+
+val send :
+  ('req, 'resp) endpoint -> src:Node.t -> ?req_bytes:int -> view:View.t ->
+  'req -> unit
+(** A one-way send on the caller's transport: {!send_reliable} when
+    [view] carries a retry policy, {!notify} otherwise. *)
 
 val set_down : ('req, 'resp) endpoint -> bool -> unit
 val is_down : ('req, 'resp) endpoint -> bool

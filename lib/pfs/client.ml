@@ -14,7 +14,6 @@ type t = {
   cache : Client_cache.t;
   locks : Lock_client.t;
   policy : Policy.t;
-  rel : Rpc.reliability option;
   view : Rpc.View.t;
   mutable op_counter : int;
   mutable w_bytes : int;
@@ -26,7 +25,14 @@ type file = { f_fid : int; f_layout : Layout.t; f_path : string }
 
 let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
     ~policy ~reliability =
-  let cache = Client_cache.create eng params config ~node ~client_id ~io_route in
+  (* One epoch view per client, and with it one transport: lock, control
+     and data-server I/O traffic are all fenced by the same recovery
+     epochs.  The cache is created first: creation order assigns process
+     ids. *)
+  let view = Rpc.View.create ~salt:client_id ?reliability () in
+  let cache =
+    Client_cache.create ~view eng params config ~node ~client_id ~io_route
+  in
   let hooks =
     {
       Lock_client.flush =
@@ -37,42 +43,28 @@ let create eng params config ~node ~client_id ~meta ~lock_route ~io_route
     }
   in
   let locks =
-    Lock_client.create eng params ~node ~client_id ~route:lock_route ~hooks
+    Lock_client.create ~view eng params ~node ~client_id ~route:lock_route
+      ~hooks
   in
-  let view = Lock_client.view locks in
-  (match reliability with
-  | Some rel ->
-      (* One epoch view per client: lock, control and data-server I/O
-         traffic are all fenced by the same recovery epochs. *)
-      Lock_client.set_reliability locks rel;
-      Client_cache.set_reliability cache rel view
-  | None ->
-      (* Piggybacking (DESIGN.md §13) needs the plain transport: under a
-         retry policy control messages must stay individually reliable.
-         It is a SeqDLM protocol feature — release on the last flush
-         block (§III-B) — so it follows the policy flag, not the
-         transport batching knob: the traditional baselines send every
-         control message on its own RPC. *)
-      if policy.Policy.piggyback_release then begin
-        Lock_client.set_piggyback locks ~delay:config.Config.batch_delay;
-        Client_cache.set_ctl_source cache (fun ~rid ->
-            Lock_client.take_piggyback locks ~rid)
-      end);
+  (* Piggybacking (DESIGN.md §13) needs the plain transport: under a
+     retry policy control messages must stay individually reliable.  It
+     is a SeqDLM protocol feature — release on the last flush block
+     (§III-B) — so it follows the policy flag, not the transport batching
+     knob: the traditional baselines send every control message on its
+     own RPC. *)
+  if Option.is_none reliability && policy.Policy.piggyback_release then begin
+    Lock_client.set_piggyback locks ~delay:config.Config.batch_delay;
+    Client_cache.set_ctl_source cache (fun ~rid ->
+        Lock_client.take_piggyback locks ~rid)
+  end;
   {
     eng; params; config; node; id = client_id; meta; io_route; cache; locks;
-    policy; rel = reliability; view;
+    policy; view;
     op_counter = 0; w_bytes = 0; r_bytes = 0; io_secs = 0.;
   }
 
-(* Data-server I/O: fenced + retried when the cluster runs with a retry
-   policy, the plain transport otherwise. *)
 let io_call t rid ?resp_bytes req =
-  let ep = t.io_route rid in
-  match t.rel with
-  | None -> Rpc.call ep ~src:t.node ?resp_bytes req
-  | Some rel ->
-      Rpc.call_reliable ep ~src:t.node ?resp_bytes ~reliability:rel
-        ~view:t.view req
+  Rpc.request (t.io_route rid) ~src:t.node ?resp_bytes ~view:t.view req
 
 let open_file t ?(create = false) ?(layout = Layout.v ~stripe_count:1 ()) path =
   match

@@ -24,10 +24,10 @@ type t = {
   mutable audit : (rid:int -> unit) option;
   mutable write_obs :
     (rid:int -> range:Interval.t -> sn:int -> op:int -> unit) option;
-  mutable rel : (Rpc.reliability * Rpc.View.t) option;
-      (* flushes go through the fenced retry path when the cluster runs
-         with failover enabled: a Write_flush must survive a data-server
-         outage, and at-most-once dedup keeps retries idempotent *)
+  view : Rpc.View.t;
+      (* under a retry policy flushes are fenced and retried: a
+         Write_flush must survive a data-server outage, and at-most-once
+         dedup keeps retries idempotent *)
   mutable ctl_source : (rid:int -> Seqdlm.Types.ctl_msg list) option;
       (* batching mode (DESIGN.md §13): the lock client's pending
          acks/downgrades/releases for the stripe's server, drained here
@@ -87,11 +87,7 @@ let flush t ~rid ~ranges =
       let ep = t.io_route rid in
       let req = Data_server.Write_flush { rid; blocks; ctl } in
       match
-        (match t.rel with
-        | None -> Rpc.call ep ~src:t.node ~req_bytes:wire_bytes req
-        | Some (rel, view) ->
-            Rpc.call_reliable ep ~src:t.node ~req_bytes:wire_bytes
-              ~reliability:rel ~view req)
+        Rpc.request ep ~src:t.node ~req_bytes:wire_bytes ~view:t.view req
       with
       | Data_server.Done -> ()
       | Data_server.Data _ as r ->
@@ -157,7 +153,8 @@ let flush_daemon t () =
         by_size
   done
 
-let create eng params config ~node ~client_id ~io_route =
+let create ?(view = Rpc.View.create ()) eng params config ~node ~client_id
+    ~io_route =
   let t =
     {
       eng; params; config; node; client_id; io_route;
@@ -175,7 +172,7 @@ let create eng params config ~node ~client_id ~io_route =
       n_flush_rpcs = 0;
       audit = None;
       write_obs = None;
-      rel = None;
+      view;
       ctl_source = None;
     }
   in
@@ -296,7 +293,6 @@ let dirty_view t =
 
 let set_audit t f = t.audit <- Some f
 let set_write_observer t f = t.write_obs <- Some f
-let set_reliability t rel view = t.rel <- Some (rel, view)
 let set_ctl_source t f = t.ctl_source <- Some f
 let client_id t = t.client_id
 let clean_bytes t = t.clean_total

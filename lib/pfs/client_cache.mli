@@ -14,18 +14,18 @@
 type t
 
 val create :
-  Dessim.Engine.t -> Netsim.Params.t -> Config.t -> node:Netsim.Node.t ->
-  client_id:int ->
+  ?view:Netsim.Rpc.View.t -> Dessim.Engine.t -> Netsim.Params.t -> Config.t ->
+  node:Netsim.Node.t -> client_id:int ->
   io_route:(int -> (Data_server.io_req, Data_server.io_resp) Netsim.Rpc.endpoint) ->
   t
 (** [io_route rid] is the IO endpoint of the data server storing that
-    stripe.  Starts the flush daemon. *)
+    stripe.  Starts the flush daemon.
 
-val set_reliability :
-  t -> Netsim.Rpc.reliability -> Netsim.Rpc.View.t -> unit
-(** Route flush RPCs through the fenced retry transport under the
-    client's epoch [view]: a Write_flush then survives a data-server
-    outage (retransmitted until acknowledged, deduplicated server-side). *)
+    Flush RPCs go out on [view]'s transport (default: a plain view).
+    Under a retry policy ({!Netsim.Rpc.View.create}[ ~reliability]) a
+    Write_flush is fenced by the client's epochs and survives a
+    data-server outage: retransmitted until acknowledged, deduplicated
+    server-side. *)
 
 val set_ctl_source : t -> (rid:int -> Seqdlm.Types.ctl_msg list) -> unit
 (** Piggybacking (DESIGN.md §13): before each flush RPC the cache asks

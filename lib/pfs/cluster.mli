@@ -21,9 +21,9 @@ val create :
 (** Defaults: testbed {!Netsim.Params.default}, {!Config.default},
     {!Seqdlm.Policy.seqdlm}.  With [reliability], every client's lock
     acquires, control messages and data-server I/O go through the fenced
-    retry transport ({!Netsim.Rpc.call_reliable}) — required for online
-    failover ({!Ha}); without it the transport behaves exactly as
-    before.  [replication] (default {!Config.t.replication}, i.e. the
+    retry transport ({!Netsim.Rpc.request} on a view carrying the
+    policy) — required for online failover ({!Ha}); without it every
+    client uses the plain transport.  [replication] (default {!Config.t.replication}, i.e. the
     [CCPFS_REPL] environment knob) gives every lock server that many
     diskless backup replicas and a grant-log shipping group
     (DESIGN.md §16), enabling the replay-based recovery path. *)

@@ -9,7 +9,6 @@ type t = {
   log : Grant_log.t; (* the primary's in-memory log *)
   view : Rpc.View.t; (* the primary's epoch/req-id view for shipping *)
   backups : Replica.t array;
-  reliability : Rpc.reliability option;
   shipped : Obs.Metrics.counter;
 }
 
@@ -20,9 +19,8 @@ let create eng params ~name ~src ~backups ?reliability ~salt () =
     name;
     src;
     log = Grant_log.create ();
-    view = Rpc.View.create ~salt ();
+    view = Rpc.View.create ~salt ?reliability ();
     backups;
-    reliability;
     shipped = Obs.Metrics.counter (Engine.metrics eng) "repl.shipped";
   }
 
@@ -45,7 +43,7 @@ let ship t (e : Grant_log.entry) =
     (fun b ->
       Obs.Metrics.incr t.shipped;
       Rpc.send_reliable (Replica.endpoint b) ~src:t.src ~req_bytes:bytes
-        ?reliability:t.reliability ~view:t.view
+        ~view:t.view
         (Replica.Append { a_epoch = epoch; a_lsn = e.Grant_log.lsn; a_ev = e.Grant_log.ev }))
     t.backups
 

@@ -7,3 +7,10 @@ let size_of (r : Ccpfs.Meta_server.resp) =
   | Ccpfs.Meta_server.Attrs a -> a.Ccpfs.Meta_server.size
   | Ccpfs.Meta_server.Ok -> failwith "unexpected Ok"
   | Ccpfs.Meta_server.Enoent -> assert false
+
+(* The reply type here is a plain [int], not a registered reply type:
+   only the RPC entry-point list catches this arm. *)
+let doubled ep ~src ~view =
+  match Netsim.Rpc.request ep ~src ~view 21 with
+  | 42 -> `Doubled
+  | _ -> assert false

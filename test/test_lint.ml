@@ -75,7 +75,7 @@ let test_finding_counts () =
       ("d001_bad.ml", 2) (* fold + iter *);
       ("d002_bad.ml", 2) (* Random.int + Random.float *);
       ("d003_bad.ml", 3) (* gettimeofday + Sys.time + Unix.time *);
-      ("p001_bad.ml", 2) (* failwith + assert false *);
+      ("p001_bad.ml", 3) (* failwith + 2 assert false *);
       ("p002_bad.ml", 2) (* (=) + compare *);
     ]
 

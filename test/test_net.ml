@@ -296,14 +296,14 @@ let test_reliable_rides_out_an_outage () =
   let rel =
     { Rpc.rel_timeout = 0.02; rel_base_backoff = 0.002; rel_max_backoff = 0.05 }
   in
-  let view = Rpc.View.create () in
+  let view = Rpc.View.create ~reliability:rel () in
   Rpc.set_down ep true;
   Engine.spawn eng ~name:"healer" (fun () ->
       Engine.sleep eng 0.1;
       Rpc.set_epoch ep 3;
       Rpc.set_down ep false);
   Engine.spawn eng ~name:"caller" (fun () ->
-      let v = Rpc.call_reliable ep ~src:client ~reliability:rel ~view 21 in
+      let v = Rpc.call_reliable ep ~src:client ~view 21 in
       Alcotest.(check int) "eventually answered" 42 v;
       Alcotest.(check bool) "after the outage" true (Engine.now eng > 0.1);
       Alcotest.(check bool) "attempts were retries, not re-executions" true
@@ -318,7 +318,7 @@ let test_reliable_survives_loss_and_dup () =
   let rel =
     { Rpc.rel_timeout = 0.02; rel_base_backoff = 0.002; rel_max_backoff = 0.05 }
   in
-  let view = Rpc.View.create () in
+  let view = Rpc.View.create ~reliability:rel () in
   let rng = Ccpfs_util.Det_random.create ~seed:0xbadbeef in
   Rpc.set_fault ep ~loss:0.4 ~dup:0.3 ~rng:(fun () ->
       Ccpfs_util.Det_random.float rng 1.);
@@ -326,7 +326,7 @@ let test_reliable_survives_loss_and_dup () =
   Engine.spawn eng ~name:"caller" (fun () ->
       for i = 1 to n do
         Alcotest.(check int) "answer survives the faults" (2 * i)
-          (Rpc.call_reliable ep ~src:client ~reliability:rel ~view i)
+          (Rpc.call_reliable ep ~src:client ~view i)
       done);
   Engine.run eng;
   Alcotest.(check int) "each logical call executed exactly once" n !hits;
@@ -359,6 +359,33 @@ let test_dedup_retention_bound () =
       Alcotest.(check int) "oldest entries were evicted" 11 !hits);
   Engine.run eng
 
+(* Regression: a newer-epoch retry that purges a completed entry must not
+   leave the id's old retention slot behind.  That stale slot used to
+   evict the re-run entry ahead of older ids, so a retransmission inside
+   the retention window re-ran the handler. *)
+let test_dedup_purge_keeps_retention_order () =
+  let eng, _, client, ep, hits = fenced_world () in
+  Rpc.set_dedup_cap ep 3;
+  let serve ~epoch id =
+    match Rpc.call_fenced ep ~src:client ~epoch ~req_id:id id with
+    | Rpc.Reply _ -> ()
+    | _ -> Alcotest.fail "request must be served"
+  in
+  Engine.spawn eng ~name:"caller" (fun () ->
+      serve ~epoch:0 1;
+      Rpc.set_epoch ep 1;
+      serve ~epoch:1 2;
+      (* Post-election re-submission: purge and re-run id 1. *)
+      serve ~epoch:1 1;
+      Alcotest.(check int) "re-run executed" 3 !hits;
+      serve ~epoch:1 3;
+      serve ~epoch:1 4;
+      (* Retained: the re-run id 1, then 3 and 4; id 2 was evicted. *)
+      serve ~epoch:1 1;
+      Alcotest.(check int) "retransmission inside the window deduplicated" 5
+        !hits);
+  Engine.run eng
+
 let test_backoff_plateaus_under_long_outage () =
   let eng, _, client, ep, hits = fenced_world () in
   let rel =
@@ -367,13 +394,13 @@ let test_backoff_plateaus_under_long_outage () =
        deadline. *)
     { Rpc.rel_timeout = 0.02; rel_base_backoff = 0.001; rel_max_backoff = 0.008 }
   in
-  let view = Rpc.View.create () in
+  let view = Rpc.View.create ~reliability:rel () in
   Rpc.set_down ep true;
   Engine.spawn eng ~name:"healer" (fun () ->
       Engine.sleep eng 10.;
       Rpc.set_down ep false);
   Engine.spawn eng ~name:"caller" (fun () ->
-      let v = Rpc.call_reliable ep ~src:client ~reliability:rel ~view 21 in
+      let v = Rpc.call_reliable ep ~src:client ~view 21 in
       Alcotest.(check int) "answered after the outage" 42 v);
   Engine.run eng;
   Alcotest.(check int) "handler ran exactly once" 1 !hits;
@@ -418,6 +445,8 @@ let suite =
           test_fenced_dedup_epoch_purge;
         Alcotest.test_case "dedup retention is bounded" `Quick
           test_dedup_retention_bound;
+        Alcotest.test_case "epoch purge keeps the retention order" `Quick
+          test_dedup_purge_keeps_retention_order;
         Alcotest.test_case "retry backoff plateaus in a long outage" `Quick
           test_backoff_plateaus_under_long_outage;
         Alcotest.test_case "reliable call rides out an outage" `Quick
