@@ -204,9 +204,9 @@ val crash : t -> unit
 val crash_online : t -> int
 (** Drop all lock state {e including} queued waiters, returning how many
     were dropped.  Only sound when every caller submits through the fenced
-    retry path ([Rpc.call_reliable]): a dropped waiter's client times out
-    and resubmits against the recovered epoch.  This is the crash the HA
-    layer injects under live traffic. *)
+    retry path ([Rpc.request] under a retry policy): a dropped waiter's
+    client times out and resubmits against the recovered epoch.  This is
+    the crash the HA layer injects under live traffic. *)
 
 val reinstall :
   t -> client:Types.client_id ->
