@@ -23,6 +23,7 @@ let () =
             Test_check.suite;
             Test_meta.suite;
             Test_experiments.suite;
+            Test_golden_rows.suite;
             Test_load.suite;
             Test_fuzz.suite;
             Test_ha.suite;
