@@ -339,20 +339,20 @@ let run_micro () =
       | Some est -> Printf.printf "%-55s %12.0f ns\n" name est
       | None -> Printf.printf "%-55s (no estimate)\n" name)
     rows;
-  Obs.Results.clear ();
-  List.iter
-    (fun (name, est) ->
-      Obs.Results.add
-        (Obs.Json.Obj
-           [
-             ("name", Obs.Json.Str name);
-             ( "ns_per_run",
-               match est with
-               | Some e -> Obs.Json.Float e
-               | None -> Obs.Json.Null );
-           ]))
-    rows;
-  let n = Obs.Results.write ~schema:micro_schema ~path:"BENCH_micro.json" () in
+  let n =
+    Obs.Results.write ~schema:micro_schema ~path:"BENCH_micro.json"
+      (List.map
+         (fun (name, est) ->
+           Obs.Json.Obj
+             [
+               ("name", Obs.Json.Str name);
+               ( "ns_per_run",
+                 match est with
+                 | Some e -> Obs.Json.Float e
+                 | None -> Obs.Json.Null );
+             ])
+         rows)
+  in
   Printf.printf "\nwrote BENCH_micro.json (%d rows)\n" n
 
 let () =

@@ -256,10 +256,10 @@ let fuzz_cmd =
           Fuzz.Driver.run_range ?inject ~faults ~shrink_budget:shrink
             ~progress ~base ~count ()
         in
-        Obs.Results.add (Fuzz.Driver.result_row ~base summary);
         let n =
           Obs.Results.write ~append:true ~schema:"ccpfs.fuzz/1"
-            ~path:"BENCH_fuzz.json" ()
+            ~path:"BENCH_fuzz.json"
+            [ Fuzz.Driver.result_row ~base summary ]
         in
         Printf.printf "results: %d row(s) in BENCH_fuzz.json\n" n;
         (match summary.failure with

@@ -16,132 +16,29 @@ open Ccpfs
    throughput series whose dip makes the window visible.  Each run
    appends one row to BENCH_failover.json (schema ccpfs.failover/1). *)
 
-let default_clients = 8
-
-(* CI's failover-smoke job pins the client count:
+(* CI's crash-smoke job pins the client count:
    CCPFS_FAILOVER_CLIENTS=8 ccpfs_run run failover *)
-let client_count () =
-  match Sys.getenv_opt "CCPFS_FAILOVER_CLIENTS" with
-  | None | Some "" -> default_clients
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 1 -> n
-      | _ -> default_clients)
+let client_count () = Harness.env_int ~min:2 "CCPFS_FAILOVER_CLIENTS" ~default:8
 
-let xfer = 64 * Units.kib
 let bucket_count = 24
-
-type measurement = {
-  m_clients : int;
-  m_writes_each : int;
-  m_ops : int;
-  m_retries : int;
-  m_failover : Ha.Failover.record;
-  m_sim_total_s : float;
-  m_completions : float list; (* virtual completion time of every write *)
-}
-
-(* One contended run with a mid-run crash.  The crash trigger is an op
-   count, not a wall time, so it scales with the workload: once a
-   quarter of all writes have completed, the injector kills the server
-   while the remaining three quarters are in flight or queued. *)
-let run_once ~clients ~writes_each =
-  let one_pass () =
-    let params = Netsim.Params.default in
-    let cl =
-      Cluster.create ~params
-        ~config:(Config.with_extent_log true Config.default)
-        ~reliability:(Netsim.Rpc.reliability_for params)
-        ~policy:Seqdlm.Policy.seqdlm ~n_servers:1 ~n_clients:clients ()
-    in
-    let eng = Cluster.engine cl in
-    (match Obs.Hub.new_sink () with
-    | Some sink -> Dessim.Engine.set_trace_sink eng sink
-    | None -> ());
-    ignore (Obs.Hub.next_run_id ());
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
-    let ha = Ha.Failover.install cl in
-    let total = clients * writes_each in
-    let crash_after = max 1 (total / 4) in
-    let completions = ref [] in
-    let done_ops = ref 0 in
-    for i = 0 to clients - 1 do
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true "/failover" in
-          (* Alternate between the shared hot range (real PW contention:
-             queueing, revocations, retries across the outage) and a
-             private per-client segment whose cached PW lock is still
-             held when the server dies — those grants are what the
-             recovery gather reinstalls. *)
-          let private_off = (i + 1) * xfer in
-          for k = 1 to writes_each do
-            let off = if k land 1 = 0 then 0 else private_off in
-            Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
-            incr done_ops;
-            completions := Cluster.now cl :: !completions
-          done)
-    done;
-    (* The injector doubles as the liveness barrier: the run cannot end
-       while the failover is still in progress. *)
-    let tick = Ha.Detector.period (Ha.Failover.detector ha) in
-    Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
-        while !done_ops < crash_after do
-          Dessim.Engine.sleep eng tick
-        done;
-        ignore (Ha.Failover.crash ha 0);
-        while List.is_empty (Ha.Failover.records ha) do
-          Dessim.Engine.sleep eng tick
-        done);
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, ha, List.rev !completions)
-  in
-  let cl, ha, completions =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_failover" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let record =
-    match Ha.Failover.records ha with
-    | [ r ] -> r
-    | rs ->
-        invalid_arg
-          (Printf.sprintf "exp_failover: expected exactly 1 failover, got %d"
-             (List.length rs))
-  in
-  {
-    m_clients = clients;
-    m_writes_each = writes_each;
-    m_ops = List.length completions;
-    m_retries = Cluster.total_retries cl;
-    m_failover = record;
-    m_sim_total_s = Cluster.now cl;
-    m_completions = completions;
-  }
 
 (* Bucket the write completions into a fixed-width virtual-time series;
    the empty buckets between f_crash and f_recover are the outage. *)
-let throughput_series (m : measurement) =
+let throughput_series (m : Exp_repl.measurement) =
   let horizon = Float.max m.m_sim_total_s 1e-9 in
   let width = horizon /. float_of_int bucket_count in
   let counts = Array.make bucket_count 0 in
-  List.iter
-    (fun t ->
-      let b = min (bucket_count - 1) (int_of_float (t /. width)) in
-      counts.(b) <- counts.(b) + 1)
-    m.m_completions;
+  (match m.m_traffic with
+  | Closed completions ->
+      List.iter
+        (fun t ->
+          let b = min (bucket_count - 1) (int_of_float (t /. width)) in
+          counts.(b) <- counts.(b) + 1)
+        completions
+  | Open _ -> ());
   (width, counts)
 
-let row_of (m : measurement) =
+let row_of ~writes_each (m : Exp_repl.measurement) =
   let r = m.m_failover in
   let width, counts = throughput_series m in
   let open Obs.Json in
@@ -150,9 +47,9 @@ let row_of (m : measurement) =
       ("experiment", Str "failover");
       ("scale", Float (Obs.Hub.scale ()));
       ("clients", Int m.m_clients);
-      ("writes_each", Int m.m_writes_each);
-      ("xfer_bytes", Int xfer);
-      ("ops", Int m.m_ops);
+      ("writes_each", Int writes_each);
+      ("xfer_bytes", Int Exp_repl.xfer);
+      ("ops", Int (Exp_repl.ops m));
       ("sim_total_s", Float m.m_sim_total_s);
       ("crash_s", Float r.f_crash);
       ("detect_s", Float r.f_detect);
@@ -172,16 +69,6 @@ let row_of (m : measurement) =
 let results_schema = "ccpfs.failover/1"
 let results_path = "BENCH_failover.json"
 
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
-
 let run ~scale =
   let clients = client_count () in
   let writes_each = max 4 (Harness.scaled ~scale 32) in
@@ -192,25 +79,33 @@ let run ~scale =
            "Failover: live lock-server crash under shared-file PW contention \
             (%d clients x %d writes x %s)"
            clients writes_each
-           (Units.bytes_to_string xfer))
+           (Units.bytes_to_string Exp_repl.xfer))
       ~columns:
         [ "clients"; "crash at"; "detect"; "recover"; "unavailable"; "retries";
           "locks back"; "ops" ]
   in
-  let m = run_once ~clients ~writes_each in
+  (* exp_repl's closed-loop crash run, at the configured replication
+     (CCPFS_REPL; off by default, so recovery is the client gather). *)
+  let m =
+    Exp_repl.run_closed ~clients ~writes_each
+      ~replication:Config.default.Config.replication
+  in
   let r = m.m_failover in
   Table.add_row tbl
     [
-      string_of_int m.m_clients;
+      string_of_int clients;
       Units.seconds_to_string r.f_crash;
       Units.seconds_to_string (r.f_detect -. r.f_crash);
       Units.seconds_to_string (r.f_recover -. r.f_detect);
       Units.seconds_to_string (r.f_recover -. r.f_crash);
       string_of_int m.m_retries;
       string_of_int r.f_reinstalled;
-      string_of_int m.m_ops;
+      string_of_int (Exp_repl.ops m);
     ];
-  let n = write_rows [ row_of m ] in
+  let n =
+    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path
+      [ row_of ~writes_each m ]
+  in
   let _, counts = throughput_series m in
   let dip =
     Array.fold_left (fun acc c -> if c = 0 then acc + 1 else acc) 0 counts

@@ -36,38 +36,16 @@ open Ccpfs
 let xfer = 64 * Units.kib
 let seed_base = 0x10ad
 
-let env_int name ~default =
-  match Sys.getenv_opt name with
-  | None | Some "" -> default
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> v
-      | _ -> default)
-
-let env_floats name =
-  match Sys.getenv_opt name with
-  | None | Some "" -> None
-  | Some s ->
-      let l =
-        String.split_on_char ',' s
-        |> List.filter_map (fun tok ->
-               match float_of_string_opt (String.trim tok) with
-               | Some v when v > 0. -> Some v
-               | _ -> None)
-      in
-      if List.length l = 0 then None else Some l
-
-let clients () = env_int "CCPFS_LOAD_CLIENTS" ~default:128
+let clients () = Harness.env_int "CCPFS_LOAD_CLIENTS" ~default:128
 let default_grid = [ 0.25; 0.5; 0.75; 0.9; 1.1; 1.4 ]
 
 let churn_enabled () =
-  match Sys.getenv_opt "CCPFS_LOAD_CHURN" with
-  | Some "0" -> false
-  | _ -> true
+  Harness.env "CCPFS_LOAD_CHURN" (fun s -> Some (s <> "0")) ~default:true
 
 let process_name () =
-  match Sys.getenv_opt "CCPFS_LOAD_PROCESS" with
-  | None | Some "" -> "poisson"
-  | Some s -> String.lowercase_ascii (String.trim s)
+  Harness.env "CCPFS_LOAD_PROCESS" ~default:"poisson" (function
+    | "" -> None
+    | s -> Some (String.lowercase_ascii s))
 
 (* The workload body: the exp_scale contention shape — every request is
    a whole-range PW write to the one shared file. *)
@@ -75,19 +53,6 @@ let prepare c = (c, Client.open_file c ~create:true "/load")
 let request (c, f) _k =
   Client.write ~mode:Seqdlm.Mode.PW ~lock_whole_range:true c f ~off:0 ~len:xfer;
   xfer
-
-let fresh_cluster ~n_clients =
-  let cl =
-    Cluster.create ~config:Config.default ~policy:Seqdlm.Policy.seqdlm
-      ~n_servers:1 ~n_clients ()
-  in
-  let eng = Cluster.engine cl in
-  (match Obs.Hub.new_sink () with
-  | Some sink -> Dessim.Engine.set_trace_sink eng sink
-  | None -> ());
-  ignore (Obs.Hub.next_run_id ());
-  if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
-  cl
 
 (* Closed-loop calibration: the same workload driven the closed way
    (next write only after the previous returns).  Yields the system's
@@ -98,31 +63,31 @@ let fresh_cluster ~n_clients =
 type calibration = { cap_rps : float; closed_lat : Stats.t }
 
 let calibrate ~n_clients ~writes_each =
-  let cl = fresh_cluster ~n_clients in
-  let eng = Cluster.engine cl in
-  let lat = Stats.create () in
-  let pio_end = ref 0. in
-  let root_rng = Det_random.create ~seed:seed_base in
-  for i = 0 to n_clients - 1 do
-    let rng = Det_random.split root_rng in
-    Cluster.spawn_client cl i ~name:(Printf.sprintf "cal%d" i) (fun c ->
-        let ctx = prepare c in
-        for k = 1 to writes_each do
-          (* same desynchronising think jitter as exp_scale; excluded
-             from the measured latency *)
-          Dessim.Engine.sleep eng (Det_random.float rng 50e-6);
-          let t0 = Cluster.now cl in
-          ignore (request ctx k);
-          Stats.add lat (Cluster.now cl -. t0)
+  let p =
+    Harness.measure ~name:"exp_load.calibrate" ~policy:Seqdlm.Policy.seqdlm
+      ~servers:1 ~clients:n_clients (fun cl spawn ->
+        let eng = Cluster.engine cl in
+        let lat = Stats.create () in
+        let root_rng = Det_random.create ~seed:seed_base in
+        for i = 0 to n_clients - 1 do
+          let rng = Det_random.split root_rng in
+          spawn i (Printf.sprintf "cal%d" i) (fun c ->
+              let ctx = prepare c in
+              for k = 1 to writes_each do
+                (* same desynchronising think jitter as exp_scale;
+                   excluded from the measured latency *)
+                Dessim.Engine.sleep eng (Det_random.float rng 50e-6);
+                let t0 = Cluster.now cl in
+                ignore (request ctx k);
+                Stats.add lat (Cluster.now cl -. t0)
+              done)
         done;
-        if Cluster.now cl > !pio_end then pio_end := Cluster.now cl)
-  done;
-  Check.Sanitize.run_cluster cl;
-  let pio = Float.max 1e-9 !pio_end in
-  Cluster.fsync_all cl;
-  Cluster.check_invariants cl;
-  if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-  { cap_rps = float_of_int (n_clients * writes_each) /. pio; closed_lat = lat }
+        fun () -> lat)
+  in
+  {
+    cap_rps = float_of_int (n_clients * writes_each) /. Float.max 1e-9 p.pio;
+    closed_lat = p.value;
+  }
 
 (* Default churn schedule: an eighth of the clients (at least one)
    leaves at a third of the scheduled injection span and rejoins at two
@@ -143,42 +108,26 @@ let churn_schedule ~n_clients ~span =
     List.rev !acc
   end
 
-(* One open-loop rate point on a fresh cluster.  Wrapped in the
-   determinism double-run when CCPFS_CHECK enables it, like the other
-   benchmark experiments. *)
+(* One open-loop rate point on a fresh cluster, through the shared
+   measured pass. *)
 let run_point ~n_clients ~requests ~process ~cap ~churn rate =
-  let one_pass () =
-    let cl = fresh_cluster ~n_clients in
-    let proc = Option.get (Load.Arrivals.of_string ~rate process) in
-    let span = float_of_int requests /. rate in
-    let spec =
-      Load.Driver.
-        {
-          process = proc;
-          seed = seed_base;
-          requests;
-          max_in_flight = cap;
-          churn = (if churn then churn_schedule ~n_clients ~span else []);
-          start_at = 0.;
-        }
-    in
-    let h = Load.Driver.launch cl spec ~prepare ~request in
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, Load.Driver.result h)
+  let span = float_of_int requests /. rate in
+  let spec =
+    Load.Driver.
+      {
+        process = Option.get (Load.Arrivals.of_string ~rate process);
+        seed = seed_base;
+        requests;
+        max_in_flight = cap;
+        churn = (if churn then churn_schedule ~n_clients ~span else []);
+        start_at = 0.;
+      }
   in
-  if Check.Sanitize.determinism_enabled () then begin
-    let result = ref None in
-    ignore
-      (Check.Determinism.check ~name:"exp_load" (fun () ->
-           let cl, r = one_pass () in
-           result := Some r;
-           Cluster.engine cl));
-    Option.get !result
-  end
-  else snd (one_pass ())
+  (Harness.measure ~name:"exp_load" ~policy:Seqdlm.Policy.seqdlm ~servers:1
+     ~clients:n_clients (fun cl _spawn ->
+       let h = Load.Driver.launch cl spec ~prepare ~request in
+       fun () -> Load.Driver.result h))
+    .value
 
 type setup = {
   s_clients : int;
@@ -195,34 +144,33 @@ type setup = {
 let setup ~scale =
   let n_clients = clients () in
   let writes_each = Harness.scaled ~scale 8 in
-  let requests = env_int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each) in
+  let requests =
+    Harness.env_int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each)
+  in
   let cal = calibrate ~n_clients ~writes_each in
   let slo_s =
-    match Sys.getenv_opt "CCPFS_LOAD_SLO_MS" with
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some ms when ms > 0. -> ms /. 1e3
-        | _ -> 3. *. Stats.percentile cal.closed_lat 99.)
-    | None -> 3. *. Stats.percentile cal.closed_lat 99.
+    Harness.env "CCPFS_LOAD_SLO_MS"
+      ~default:(3. *. Stats.percentile cal.closed_lat 99.)
+      (fun s ->
+        Option.bind (float_of_string_opt s) (fun ms ->
+            if ms > 0. then Some (ms /. 1e3) else None))
   in
   let rates =
-    match env_floats "CCPFS_LOAD_RATES" with
-    | Some l -> l
-    | None ->
-        let grid =
-          Option.value (env_floats "CCPFS_LOAD_GRID") ~default:default_grid
-        in
-        List.map (fun m -> m *. cal.cap_rps) grid
+    Harness.env_floats "CCPFS_LOAD_RATES"
+      ~default:
+        (List.map
+           (fun m -> m *. cal.cap_rps)
+           (Harness.env_floats "CCPFS_LOAD_GRID" ~default:default_grid))
   in
   {
     s_clients = n_clients;
     s_requests = requests;
     s_process = process_name ();
-    s_cap = env_int "CCPFS_LOAD_CAP" ~default:(4 * n_clients);
+    s_cap = Harness.env_int "CCPFS_LOAD_CAP" ~default:(4 * n_clients);
     s_churn = churn_enabled ();
     s_slo_s = slo_s;
     s_rates = rates;
-    s_bisect = env_int "CCPFS_LOAD_BISECT" ~default:0;
+    s_bisect = Harness.env_int "CCPFS_LOAD_BISECT" ~default:0;
     s_cal = cal;
   }
 
@@ -273,18 +221,6 @@ let row_of s (p : Load.Sweep.point) =
 let results_schema = "ccpfs.load/1"
 let results_path = "BENCH_load.json"
 
-(* Same accumulator-preserving append as exp_scale: load rows go to
-   BENCH_load.json without disturbing BENCH_experiments.json rows. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
-
 let run ~scale =
   let s = setup ~scale in
   let points = sweep_points s in
@@ -317,7 +253,10 @@ let run ~scale =
            else "");
         ])
     points;
-  let n = write_rows (List.map (row_of s) points) in
+  let n =
+    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path
+      (List.map (row_of s) points)
+  in
   Table.add_note tbl
     (Printf.sprintf
        "closed-loop capacity %.1f req/s (calibration); %d row(s) in %s"

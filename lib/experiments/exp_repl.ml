@@ -22,17 +22,9 @@ open Ccpfs
    quiesces, every lock a client still caches must sit in the recovered
    server's table with the same mode and SN. *)
 
-let default_clients = 8
-
-(* CI's repl-smoke job pins the client count:
+(* CI's crash-smoke job pins the client count:
    CCPFS_REPL_CLIENTS=8 ccpfs_run run repl *)
-let client_count () =
-  match Sys.getenv_opt "CCPFS_REPL_CLIENTS" with
-  | None | Some "" -> default_clients
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 1 -> n
-      | _ -> default_clients)
+let client_count () = Harness.env_int ~min:2 "CCPFS_REPL_CLIENTS" ~default:8
 
 (* Replication factor under test: CCPFS_REPL when set, else f=1. *)
 let repl_factor () = Stdlib.max 1 Config.default.Config.replication
@@ -40,20 +32,30 @@ let repl_factor () = Stdlib.max 1 Config.default.Config.replication
 let xfer = 64 * Units.kib
 let seed_base = 0x5ed1
 
+(* What the traffic measured: the closed loop records the virtual
+   completion time of every write (exp_failover's throughput series),
+   the open loop the load driver's result. *)
+type traffic = Closed of float list | Open of Load.Driver.result
+
 type measurement = {
-  m_mode : string; (* "gather" | "replay" *)
-  m_loop : string; (* "closed" | "open" *)
   m_replication : int;
   m_clients : int;
   m_requests : int;
-  m_ops : int;
+  m_traffic : traffic;
   m_retries : int;
   m_failover : Ha.Failover.record;
   m_sim_total_s : float;
   m_lost_grants : int;
   m_divergent_locks : int;
-  m_open : Load.Driver.result option;
 }
+
+let ops m =
+  match m.m_traffic with
+  | Closed completions -> List.length completions
+  | Open r -> r.Load.Driver.r_completed
+
+let loop m = match m.m_traffic with Closed _ -> "closed" | Open _ -> "open"
+let mode m = if m.m_replication > 0 then "replay" else "gather"
 
 (* Zero-loss audit: every lock a client still caches after the run must
    exist in the recovered server's table under the same id, mode and SN.
@@ -83,22 +85,6 @@ let audit cl =
   done;
   (!lost, !divergent)
 
-let fresh_cluster ~clients ~replication =
-  let params = Netsim.Params.default in
-  let cl =
-    Cluster.create ~params
-      ~config:(Config.with_extent_log true Config.default)
-      ~reliability:(Netsim.Rpc.reliability_for params)
-      ~policy:Seqdlm.Policy.seqdlm ~replication ~n_servers:1
-      ~n_clients:clients ()
-  in
-  (match Obs.Hub.new_sink () with
-  | Some sink -> Dessim.Engine.set_trace_sink (Cluster.engine cl) sink
-  | None -> ());
-  ignore (Obs.Hub.next_run_id ());
-  if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
-  cl
-
 let single_record ha =
   match Ha.Failover.records ha with
   | [ r ] -> r
@@ -107,144 +93,105 @@ let single_record ha =
         (Printf.sprintf "exp_repl: expected exactly 1 failover, got %d"
            (List.length rs))
 
-(* ---------------------------------------------------------------- *)
-(* Closed loop: the exp_failover workload verbatim                   *)
-(* ---------------------------------------------------------------- *)
-
-let run_closed ~clients ~writes_each ~replication =
-  let one_pass () =
-    let cl = fresh_cluster ~clients ~replication in
-    let eng = Cluster.engine cl in
-    let ha = Ha.Failover.install cl in
-    let total = clients * writes_each in
-    let crash_after = Stdlib.max 1 (total / 4) in
-    let done_ops = ref 0 in
-    for i = 0 to clients - 1 do
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true "/repl" in
-          let private_off = (i + 1) * xfer in
-          for k = 1 to writes_each do
-            let off = if k land 1 = 0 then 0 else private_off in
-            Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
-            incr done_ops
-          done)
-    done;
-    let tick = Ha.Detector.period (Ha.Failover.detector ha) in
-    Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
-        while !done_ops < crash_after do
-          Dessim.Engine.sleep eng tick
-        done;
-        ignore (Ha.Failover.crash ha 0);
-        while List.is_empty (Ha.Failover.records ha) do
-          Dessim.Engine.sleep eng tick
-        done);
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, ha, !done_ops)
+(* One crash run through the shared measured pass, on a reliable,
+   extent-logged single-server cluster.  [workload cl spawn] launches the
+   traffic and returns the crash trigger (run by the injector, given the
+   detector period) and the traffic's [finish].  Once the trigger returns
+   the injector kills lock server 0, then stays alive until the failover
+   is recorded: it doubles as the liveness barrier, so the run cannot end
+   while the failover is still in progress. *)
+let crash_run ~name ~clients ~requests ~replication workload =
+  let params = Netsim.Params.default in
+  let p =
+    Harness.measure ~name ~params
+      ~config:(Config.with_extent_log true Config.default)
+      ~reliability:(Netsim.Rpc.reliability_for params)
+      ~policy:Seqdlm.Policy.seqdlm ~replication ~servers:1 ~clients
+      (fun cl spawn ->
+        let eng = Cluster.engine cl in
+        let ha = Ha.Failover.install cl in
+        let trigger, finish = workload cl spawn in
+        let tick = Ha.Detector.period (Ha.Failover.detector ha) in
+        Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
+            trigger tick;
+            ignore (Ha.Failover.crash ha 0);
+            while List.is_empty (Ha.Failover.records ha) do
+              Dessim.Engine.sleep eng tick
+            done);
+        fun () -> (ha, finish ()))
   in
-  let cl, ha, ops =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_repl.closed" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let lost, divergent = audit cl in
+  let ha, traffic = p.value in
+  let lost, divergent = audit p.cluster in
   {
-    m_mode = (if replication > 0 then "replay" else "gather");
-    m_loop = "closed";
-    m_replication = replication;
-    m_clients = clients;
-    m_requests = clients * writes_each;
-    m_ops = ops;
-    m_retries = Cluster.total_retries cl;
-    m_failover = single_record ha;
-    m_sim_total_s = Cluster.now cl;
-    m_lost_grants = lost;
-    m_divergent_locks = divergent;
-    m_open = None;
-  }
-
-(* ---------------------------------------------------------------- *)
-(* Open loop: same fault point under scheduled Poisson arrivals      *)
-(* ---------------------------------------------------------------- *)
-
-(* The crash fires at a quarter of the scheduled injection span —
-   a time trigger, matching the open loop's time-scheduled arrivals. *)
-let run_open ~clients ~requests ~rate ~replication =
-  let one_pass () =
-    let cl = fresh_cluster ~clients ~replication in
-    let eng = Cluster.engine cl in
-    let ha = Ha.Failover.install cl in
-    let span = float_of_int requests /. rate in
-    let spec =
-      Load.Driver.
-        {
-          process = Load.Arrivals.Poisson rate;
-          seed = seed_base;
-          requests;
-          max_in_flight = 8 * clients;
-          churn = [];
-          start_at = 0.;
-        }
-    in
-    let prepare c = (c, Client.open_file c ~create:true "/repl-open") in
-    let request (c, f) k =
-      let off =
-        if k land 1 = 0 then 0
-        else (1 + (k mod (4 * clients))) * xfer
-      in
-      Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
-      xfer
-    in
-    let h = Load.Driver.launch cl spec ~prepare ~request in
-    let tick = Ha.Detector.period (Ha.Failover.detector ha) in
-    Dessim.Engine.spawn eng ~name:"crash-injector" (fun () ->
-        Dessim.Engine.sleep eng (span /. 4.);
-        ignore (Ha.Failover.crash ha 0);
-        while List.is_empty (Ha.Failover.records ha) do
-          Dessim.Engine.sleep eng tick
-        done);
-    Check.Sanitize.run_cluster cl;
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, ha, Load.Driver.result h)
-  in
-  let cl, ha, r =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_repl.open" (fun () ->
-             let (cl, _, _) as res = one_pass () in
-             result := Some res;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let lost, divergent = audit cl in
-  {
-    m_mode = (if replication > 0 then "replay" else "gather");
-    m_loop = "open";
     m_replication = replication;
     m_clients = clients;
     m_requests = requests;
-    m_ops = r.Load.Driver.r_completed;
-    m_retries = Cluster.total_retries cl;
+    m_traffic = traffic;
+    m_retries = Cluster.total_retries p.cluster;
     m_failover = single_record ha;
-    m_sim_total_s = Cluster.now cl;
+    m_sim_total_s = Cluster.now p.cluster;
     m_lost_grants = lost;
     m_divergent_locks = divergent;
-    m_open = Some r;
   }
+
+(* Closed loop, shared with exp_failover: every client alternates between
+   the shared hot range (real PW contention: queueing, revocations,
+   retries across the outage) and a private per-client segment whose
+   cached PW lock is still held when the server dies — those grants are
+   what the recovery reinstalls.  The crash trigger is an op count, not a
+   time, so it scales with the workload: once a quarter of all writes
+   have completed, the server dies while the remaining three quarters
+   are in flight or queued. *)
+let run_closed ~clients ~writes_each ~replication =
+  let requests = clients * writes_each in
+  crash_run ~name:"exp_repl.closed" ~clients ~requests ~replication
+    (fun cl spawn ->
+      let crash_after = Stdlib.max 1 (requests / 4) in
+      let completions = ref [] and done_ops = ref 0 in
+      for i = 0 to clients - 1 do
+        spawn i (Printf.sprintf "w%d" i) (fun c ->
+            let f = Client.open_file c ~create:true "/repl" in
+            let private_off = (i + 1) * xfer in
+            for k = 1 to writes_each do
+              let off = if k land 1 = 0 then 0 else private_off in
+              Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
+              incr done_ops;
+              completions := Cluster.now cl :: !completions
+            done)
+      done;
+      ( (fun tick ->
+          while !done_ops < crash_after do
+            Dessim.Engine.sleep (Cluster.engine cl) tick
+          done),
+        fun () -> Closed (List.rev !completions) ))
+
+(* Open loop: the same fault point under scheduled Poisson arrivals.  The
+   crash fires at a quarter of the scheduled injection span — one sleep,
+   a time trigger matching the open loop's time-scheduled arrivals. *)
+let run_open ~clients ~requests ~rate ~replication =
+  let span = float_of_int requests /. rate in
+  let spec =
+    Load.Driver.
+      {
+        process = Load.Arrivals.Poisson rate;
+        seed = seed_base;
+        requests;
+        max_in_flight = 8 * clients;
+        churn = [];
+        start_at = 0.;
+      }
+  in
+  let prepare c = (c, Client.open_file c ~create:true "/repl-open") in
+  let request (c, f) k =
+    let off = if k land 1 = 0 then 0 else (1 + (k mod (4 * clients))) * xfer in
+    Client.write ~mode:Seqdlm.Mode.PW c f ~off ~len:xfer;
+    xfer
+  in
+  crash_run ~name:"exp_repl.open" ~clients ~requests ~replication
+    (fun cl _spawn ->
+      let h = Load.Driver.launch cl spec ~prepare ~request in
+      ( (fun _tick -> Dessim.Engine.sleep (Cluster.engine cl) (span /. 4.)),
+        fun () -> Open (Load.Driver.result h) ))
 
 (* ---------------------------------------------------------------- *)
 (* Rows (schema ccpfs.repl/1)                                        *)
@@ -267,9 +214,9 @@ let row_of (m : measurement) =
         ]
   in
   let open_fields =
-    match m.m_open with
-    | None -> []
-    | Some r ->
+    match m.m_traffic with
+    | Closed _ -> []
+    | Open r ->
         [
           ("offered_rate_rps", Float r.Load.Driver.r_offered_rate);
           ("achieved_rate_rps", Float r.r_achieved_rate);
@@ -287,13 +234,13 @@ let row_of (m : measurement) =
     ([
        ("experiment", Str "repl");
        ("scale", Float (Obs.Hub.scale ()));
-       ("mode", Str m.m_mode);
-       ("loop", Str m.m_loop);
+       ("mode", Str (mode m));
+       ("loop", Str (loop m));
        ("replication", Int m.m_replication);
        ("clients", Int m.m_clients);
        ("requests", Int m.m_requests);
        ("xfer_bytes", Int xfer);
-       ("ops", Int m.m_ops);
+       ("ops", Int (ops m));
        ("sim_total_s", Float m.m_sim_total_s);
        ("crash_s", Float r.f_crash);
        ("detect_s", Float r.f_detect);
@@ -313,18 +260,6 @@ let row_of (m : measurement) =
 
 let results_schema = "ccpfs.repl/1"
 let results_path = "BENCH_repl.json"
-
-(* Accumulator-preserving append, like exp_failover/exp_load: repl rows
-   land in BENCH_repl.json without disturbing other experiments' rows. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
 
 let run ~scale =
   let clients = client_count () in
@@ -347,13 +282,13 @@ let run ~scale =
     let r = m.m_failover in
     Table.add_row tbl
       [
-        m.m_mode; m.m_loop;
+        mode m; loop m;
         Units.seconds_to_string (r.f_detect -. r.f_crash);
         Units.seconds_to_string (r.f_recover -. r.f_detect);
         Units.seconds_to_string (r.f_recover -. r.f_crash);
         string_of_int r.f_reinstalled;
         string_of_int (m.m_lost_grants + m.m_divergent_locks);
-        string_of_int m.m_ops;
+        string_of_int (ops m);
       ]
   in
   let gather = run_closed ~clients ~writes_each ~replication:0 in
@@ -362,13 +297,16 @@ let run ~scale =
      below the knee in steady state, so the sojourn tail isolates the
      outage rather than saturation. *)
   let rate =
-    0.6 *. float_of_int gather.m_ops /. Float.max 1e-9 gather.m_sim_total_s
+    0.6 *. float_of_int (ops gather) /. Float.max 1e-9 gather.m_sim_total_s
   in
   let requests = clients * writes_each in
   let gather_o = run_open ~clients ~requests ~rate ~replication:0 in
   let replay_o = run_open ~clients ~requests ~rate ~replication:f in
   List.iter add_row [ gather; replay; gather_o; replay_o ];
-  let n = write_rows (List.map row_of [ gather; replay; gather_o; replay_o ]) in
+  let n =
+    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path
+      (List.map row_of [ gather; replay; gather_o; replay_o ])
+  in
   let win (m : measurement) = m.m_failover.f_recover -. m.m_failover.f_crash in
   Table.add_note tbl
     (Printf.sprintf

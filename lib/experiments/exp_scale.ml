@@ -13,22 +13,10 @@ open Ccpfs
    Each run appends one row to BENCH_scale.json (schema ccpfs.scale/1),
    the repo's wall-clock perf trajectory. *)
 
-let default_clients = [ 128; 256; 512 ]
-
-(* CI's scale-smoke job runs the reduced 128-client point only:
-   CCPFS_SCALE_CLIENTS="128" ccpfs_run run scale *)
+(* CI's scale-smoke job runs the 1024-client point only:
+   CCPFS_SCALE_CLIENTS="1024" ccpfs_run run scale *)
 let client_counts () =
-  match Sys.getenv_opt "CCPFS_SCALE_CLIENTS" with
-  | None | Some "" -> default_clients
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun tok ->
-             match int_of_string_opt (String.trim tok) with
-             | Some n when n > 0 -> Some n
-             | _ -> None)
-      |> function
-      | [] -> default_clients
-      | l -> l
+  Harness.env_ints "CCPFS_SCALE_CLIENTS" ~default:[ 128; 256; 512 ]
 
 let xfer = 64 * Units.kib
 
@@ -50,149 +38,86 @@ let batch_points () =
   let k = Config.default.Config.batch_k in
   [ 0; (if k > 1 then k else 8) ]
 
-type measurement = {
-  m_batch_k : int;
-  m_clients : int;
-  m_writes_each : int;
-  m_wall_s : float; (* real elapsed seconds for the measured pass *)
-  m_events : int;
-  m_requests : int; (* lock requests enqueued at the servers *)
-  m_sim_pio_s : float;
-  m_sim_total_s : float;
-  m_write_lat : Stats.t; (* simulated per-write latency *)
-  m_lock_stats : Seqdlm.Lock_server.stats;
-}
-
-(* One contended run.  The cluster loop mirrors Harness.run_custom
-   (sanitizer attach, PIO/F split, invariant sweep) but times the pass
-   with a real clock and keeps Obs.Results untouched — scale rows go to
-   BENCH_scale.json, not BENCH_experiments.json. *)
-let run_one ~clients ~writes_each ~batch_k =
-  let one_pass () =
-    let config = Config.with_batching ~k:batch_k Config.default in
-    let cl = Cluster.create ~config ~policy:Seqdlm.Policy.seqdlm ~n_servers:1
-        ~n_clients:clients ()
-    in
-    let eng = Cluster.engine cl in
-    (match Obs.Hub.new_sink () with
-    | Some sink -> Dessim.Engine.set_trace_sink eng sink
-    | None -> ());
-    ignore (Obs.Hub.next_run_id ());
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
-    let lat = Stats.create () in
-    let writers_done = ref 0. in
-    let root_rng = Det_random.create ~seed:0x5ca1e in
-    for i = 0 to clients - 1 do
-      let rng = Det_random.split root_rng in
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true "/scale" in
-          for _ = 1 to writes_each do
-            Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
-            let t0 = Cluster.now cl in
-            Client.write ~mode:Seqdlm.Mode.PW ~lock_whole_range:true c f
-              ~off:0 ~len:xfer;
-            Stats.add lat (Cluster.now cl -. t0)
-          done;
-          if Cluster.now cl > !writers_done then writers_done := Cluster.now cl)
-    done;
-    Check.Sanitize.run_cluster cl;
-    let pio = !writers_done in
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, pio, lat)
+(* One contended run through the shared measured pass (host-timed);
+   returns the table cells and the BENCH_scale.json row. *)
+let point ~clients ~writes_each ~batch_k =
+  let p =
+    Harness.measure ~name:"exp_scale"
+      ~config:(Config.with_batching ~k:batch_k Config.default)
+      ~policy:Seqdlm.Policy.seqdlm ~servers:1 ~clients
+      (fun cl spawn ->
+        let eng = Cluster.engine cl in
+        let lat = Stats.create () in
+        let root_rng = Det_random.create ~seed:0x5ca1e in
+        for i = 0 to clients - 1 do
+          let rng = Det_random.split root_rng in
+          spawn i (Printf.sprintf "w%d" i) (fun c ->
+              let f = Client.open_file c ~create:true "/scale" in
+              for _ = 1 to writes_each do
+                Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
+                let t0 = Cluster.now cl in
+                Client.write ~mode:Seqdlm.Mode.PW ~lock_whole_range:true c f
+                  ~off:0 ~len:xfer;
+                Stats.add lat (Cluster.now cl -. t0)
+              done)
+        done;
+        fun () -> lat)
   in
-  let wall0 =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-  in
-  let cl, pio, lat =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_scale" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let wall =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-    -. wall0
-  in
-  let s = Cluster.sum_lock_stats cl in
-  {
-    m_batch_k = batch_k;
-    m_clients = clients;
-    m_writes_each = writes_each;
-    m_wall_s = wall;
-    m_events = Dessim.Engine.events_dispatched (Cluster.engine cl);
-    m_requests = clients * writes_each;
-    m_sim_pio_s = pio;
-    m_sim_total_s = Cluster.now cl;
-    m_write_lat = lat;
-    m_lock_stats = s;
-  }
-
-let row_of (m : measurement) =
-  let s = m.m_lock_stats in
-  let per_sec n = float_of_int n /. Float.max 1e-9 m.m_wall_s in
-  let open Obs.Json in
-  Obj
+  let s = Cluster.sum_lock_stats p.cluster and lat = p.value in
+  let events = Dessim.Engine.events_dispatched (Cluster.engine p.cluster) in
+  let requests = clients * writes_each in
+  let per_sec n = float_of_int n /. Float.max 1e-9 p.wall_s in
+  let p50 = Stats.percentile lat 50. and p99 = Stats.percentile lat 99. in
+  let cells =
     [
-      ("experiment", Str "scale");
-      ("scale", Float (Obs.Hub.scale ()));
-      ("batch_k", Int m.m_batch_k);
-      ("clients", Int m.m_clients);
-      ("writes_each", Int m.m_writes_each);
-      ("xfer_bytes", Int xfer);
-      ("wall_s", Float m.m_wall_s);
-      ("events", Int m.m_events);
-      ("events_per_s", Float (per_sec m.m_events));
-      ("requests", Int m.m_requests);
-      ("requests_per_s", Float (per_sec m.m_requests));
-      ("sim_pio_s", Float m.m_sim_pio_s);
-      ("sim_total_s", Float m.m_sim_total_s);
-      ("write_lat_p50_s", Float (Stats.percentile m.m_write_lat 50.));
-      ("write_lat_p99_s", Float (Stats.percentile m.m_write_lat 99.));
-      ( "lock_stats",
-        Obj
-          [
-            ("grants", Int s.grants);
-            ("early_grants", Int s.early_grants);
-            ("early_revocations", Int s.early_revocations);
-            ("revokes_sent", Int s.revokes_sent);
-            ("upgrades", Int s.upgrades);
-            ("downgrades", Int s.downgrades);
-            ("releases", Int s.releases);
-            ("expansions", Int s.expansions);
-            ("revocation_wait_s", Float s.revocation_wait);
-            ("release_wait_s", Float s.release_wait);
-            ("max_queue", Int s.max_queue);
-          ] );
+      string_of_int clients;
+      (if batch_k > 1 then string_of_int batch_k else "off");
+      Units.seconds_to_string p.wall_s;
+      Printf.sprintf "%.3g" (per_sec events);
+      Printf.sprintf "%.3g" (per_sec requests);
+      string_of_int s.max_queue;
+      Units.seconds_to_string p50;
+      Units.seconds_to_string p99;
     ]
+  in
+  let open Obs.Json in
+  ( cells,
+    Obj
+      [
+        ("experiment", Str "scale");
+        ("scale", Float (Obs.Hub.scale ()));
+        ("batch_k", Int batch_k);
+        ("clients", Int clients);
+        ("writes_each", Int writes_each);
+        ("xfer_bytes", Int xfer);
+        ("wall_s", Float p.wall_s);
+        ("events", Int events);
+        ("events_per_s", Float (per_sec events));
+        ("requests", Int requests);
+        ("requests_per_s", Float (per_sec requests));
+        ("sim_pio_s", Float p.pio);
+        ("sim_total_s", Float (Cluster.now p.cluster));
+        ("write_lat_p50_s", Float p50);
+        ("write_lat_p99_s", Float p99);
+        ( "lock_stats",
+          Obj
+            [
+              ("grants", Int s.grants);
+              ("early_grants", Int s.early_grants);
+              ("early_revocations", Int s.early_revocations);
+              ("revokes_sent", Int s.revokes_sent);
+              ("upgrades", Int s.upgrades);
+              ("downgrades", Int s.downgrades);
+              ("releases", Int s.releases);
+              ("expansions", Int s.expansions);
+              ("revocation_wait_s", Float s.revocation_wait);
+              ("release_wait_s", Float s.release_wait);
+              ("max_queue", Int s.max_queue);
+            ] );
+      ] )
 
 let results_schema = "ccpfs.scale/1"
 let results_path = "BENCH_scale.json"
-
-(* Append the scale rows to BENCH_scale.json without disturbing whatever
-   the experiment harness has accumulated for BENCH_experiments.json. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
 
 let run ~scale =
   let writes_each = Harness.scaled ~scale 8 in
@@ -213,25 +138,16 @@ let run ~scale =
       (fun clients ->
         List.map
           (fun batch_k ->
-            let m = run_one ~clients ~writes_each ~batch_k in
-            Table.add_row tbl
-              [
-                string_of_int m.m_clients;
-                (if m.m_batch_k > 1 then string_of_int m.m_batch_k else "off");
-                Units.seconds_to_string m.m_wall_s;
-                Printf.sprintf "%.3g"
-                  (float_of_int m.m_events /. Float.max 1e-9 m.m_wall_s);
-                Printf.sprintf "%.3g"
-                  (float_of_int m.m_requests /. Float.max 1e-9 m.m_wall_s);
-                string_of_int m.m_lock_stats.max_queue;
-                Units.seconds_to_string (Stats.percentile m.m_write_lat 50.);
-                Units.seconds_to_string (Stats.percentile m.m_write_lat 99.);
-              ];
-            row_of m)
+            let cells, row = point ~clients ~writes_each ~batch_k in
+            Table.add_row tbl cells;
+            row)
           (batch_points ()))
       (client_counts ())
   in
-  let n = write_rows rows in
+  let n =
+    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path
+      rows
+  in
   Table.add_note tbl
     (Printf.sprintf "wall = real elapsed time of the simulation; %d row(s) in %s"
        n results_path);

@@ -22,31 +22,13 @@ open Ccpfs
    alongside for the perf trajectory.  Each run appends one row to
    BENCH_shard.json (schema ccpfs.shard/1). *)
 
-let default_servers = [ 1; 2; 4; 8 ]
-let default_clients = 512
-let default_stripes = 32
-
-let int_list_env ~key ~default =
-  match Sys.getenv_opt key with
-  | None | Some "" -> default
-  | Some s ->
-      String.split_on_char ',' s
-      |> List.filter_map (fun tok ->
-             match int_of_string_opt (String.trim tok) with
-             | Some n when n > 0 -> Some n
-             | _ -> None)
-      |> ( function [] -> default | l -> l )
-
-let int_env ~key ~default =
-  match Option.bind (Sys.getenv_opt key) int_of_string_opt with
-  | Some n when n > 0 -> n
-  | _ -> default
-
 (* CI's shard-smoke job runs a reduced sweep:
    CCPFS_SHARD_SERVERS="1,2" CCPFS_SHARD_CLIENTS=32 ccpfs_run run shard *)
-let server_counts () = int_list_env ~key:"CCPFS_SHARD_SERVERS" ~default:default_servers
-let client_count () = int_env ~key:"CCPFS_SHARD_CLIENTS" ~default:default_clients
-let stripe_count () = int_env ~key:"CCPFS_SHARD_STRIPES" ~default:default_stripes
+let server_counts () =
+  Harness.env_ints "CCPFS_SHARD_SERVERS" ~default:[ 1; 2; 4; 8 ]
+
+let client_count () = Harness.env_int "CCPFS_SHARD_CLIENTS" ~default:512
+let stripe_count () = Harness.env_int "CCPFS_SHARD_STRIPES" ~default:32
 
 let stripe_size = 64 * Units.kib
 let xfer = 16 * Units.kib
@@ -55,183 +37,118 @@ let xfer = 16 * Units.kib
    the latency distribution has genuine spread. *)
 let think_jitter_span = 50e-6
 
-type measurement = {
-  m_servers : int;
-  m_clients : int;
-  m_stripes : int;
-  m_writes_each : int;
-  m_wall_s : float;
-  m_events : int;
-  m_requests : int;
-  m_sim_pio_s : float; (* simulated time at which the last writer finished *)
-  m_sim_total_s : float;
-  m_migrations : int;
-  m_stale_bounces : int;
-  m_write_lat : Stats.t;
-  m_lock_stats : Seqdlm.Lock_server.stats;
-}
-
-let run_one ~servers ~clients ~stripes ~writes_each =
-  let one_pass () =
-    let config = Config.with_extent_log true Config.default in
-    let cl = Cluster.create ~config ~policy:Seqdlm.Policy.seqdlm
-        ~n_servers:servers ~n_clients:clients ()
-    in
-    let eng = Cluster.engine cl in
-    (match Obs.Hub.new_sink () with
-    | Some sink -> Dessim.Engine.set_trace_sink eng sink
-    | None -> ());
-    ignore (Obs.Hub.next_run_id ());
-    if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
-    Obs.Metrics.enable (Dessim.Engine.metrics eng);
-    let layout = Layout.v ~stripe_size ~stripe_count:stripes () in
-    let lat = Stats.create () in
-    let writers_done = ref 0. in
-    let file = ref None in
-    let root_rng = Det_random.create ~seed:0x54a4d in
-    for i = 0 to clients - 1 do
-      let rng = Det_random.split root_rng in
-      let stripe = i / 2 mod stripes in
-      Cluster.spawn_client cl i ~name:(Printf.sprintf "w%d" i) (fun c ->
-          let f = Client.open_file c ~create:true ~layout "/shard" in
-          if Option.is_none !file then file := Some f;
-          for _ = 1 to writes_each do
-            Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
-            let t0 = Cluster.now cl in
-            Client.write ~mode:Seqdlm.Mode.PW c f ~off:(stripe * stripe_size)
-              ~len:xfer;
-            Stats.add lat (Cluster.now cl -. t0)
-          done;
-          if Cluster.now cl > !writers_done then writers_done := Cluster.now cl)
-    done;
-    (* Live migration under traffic: rehome stripe 0's resource to the
-       next server partway through the run, and let the queue-depth
-       rebalancer shave whatever imbalance it observes. *)
-    let rb =
-      if servers > 1 then begin
-        let params = Cluster.params cl in
-        Dessim.Engine.spawn eng ~name:"forced-migration" (fun () ->
-            (* Wait for a quarter of the writes, so the rehoming lands
-               while the remaining three quarters are still in flight
-               and the Stale_owner path sees real traffic. *)
-            let quarter = clients * writes_each / 4 in
-            while Stats.count lat < quarter do
-              Dessim.Engine.sleep eng (10. *. params.Netsim.Params.rtt)
-            done;
-            match !file with
-            | None -> ()
-            | Some f ->
-                let rid = Layout.rid ~fid:(Client.fid f) ~stripe:0 in
-                let dst = (Cluster.server_of_rid cl rid + 1) mod servers in
-                ignore (Cluster.migrate_resource cl ~rid ~dst));
-        let rb = Ha.Rebalancer.create ~threshold:8 cl in
-        Ha.Rebalancer.start rb;
-        Some rb
-      end
-      else None
-    in
-    Check.Sanitize.run_cluster cl;
-    Option.iter Ha.Rebalancer.stop rb;
-    let pio = !writers_done in
-    Cluster.fsync_all cl;
-    Cluster.check_invariants cl;
-    if Check.Sanitize.enabled () then begin
-      Check.Sanitize.check_cluster cl;
-      Check.Sanitize.check_ownership cl
-    end;
-    (cl, pio, lat)
+(* One server count through the shared measured pass: returns the
+   simulated request rate, the table cells (given the speedup over the
+   first point) and the BENCH_shard.json row. *)
+let point ~servers ~clients ~stripes ~writes_each =
+  let p =
+    Harness.measure ~name:"exp_shard"
+      ~config:(Config.with_extent_log true Config.default)
+      ~policy:Seqdlm.Policy.seqdlm ~servers ~clients
+      (fun cl spawn ->
+        let eng = Cluster.engine cl in
+        let layout = Layout.v ~stripe_size ~stripe_count:stripes () in
+        let lat = Stats.create () in
+        let file = ref None in
+        let root_rng = Det_random.create ~seed:0x54a4d in
+        for i = 0 to clients - 1 do
+          let rng = Det_random.split root_rng in
+          let stripe = i / 2 mod stripes in
+          spawn i (Printf.sprintf "w%d" i) (fun c ->
+              let f = Client.open_file c ~create:true ~layout "/shard" in
+              if Option.is_none !file then file := Some f;
+              for _ = 1 to writes_each do
+                Dessim.Engine.sleep eng (Det_random.float rng think_jitter_span);
+                let t0 = Cluster.now cl in
+                Client.write ~mode:Seqdlm.Mode.PW c f
+                  ~off:(stripe * stripe_size) ~len:xfer;
+                Stats.add lat (Cluster.now cl -. t0)
+              done)
+        done;
+        (* Live migration under traffic: rehome stripe 0's resource to
+           the next server partway through the run, and let the
+           queue-depth rebalancer shave whatever imbalance it observes. *)
+        let rb =
+          if servers > 1 then begin
+            let params = Cluster.params cl in
+            Dessim.Engine.spawn eng ~name:"forced-migration" (fun () ->
+                (* Wait for a quarter of the writes, so the rehoming
+                   lands while the remaining three quarters are still in
+                   flight and the Stale_owner path sees real traffic. *)
+                let quarter = clients * writes_each / 4 in
+                while Stats.count lat < quarter do
+                  Dessim.Engine.sleep eng (10. *. params.Netsim.Params.rtt)
+                done;
+                match !file with
+                | None -> ()
+                | Some f ->
+                    let rid = Layout.rid ~fid:(Client.fid f) ~stripe:0 in
+                    let dst = (Cluster.server_of_rid cl rid + 1) mod servers in
+                    ignore (Cluster.migrate_resource cl ~rid ~dst));
+            let rb = Ha.Rebalancer.create ~threshold:8 cl in
+            Ha.Rebalancer.start rb;
+            Some rb
+          end
+          else None
+        in
+        fun () ->
+          Option.iter Ha.Rebalancer.stop rb;
+          lat)
   in
-  let wall0 =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-  in
-  let cl, pio, lat =
-    if Check.Sanitize.determinism_enabled () then begin
-      let result = ref None in
-      ignore
-        (Check.Determinism.check ~name:"exp_shard" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
-    end
-    else one_pass ()
-  in
-  let wall =
-    (Unix.gettimeofday () [@lint.allow
-                            "D003 host wall-clock IS the measured quantity \
-                             here: m_wall_s reports real elapsed time, not \
-                             simulated time"])
-    -. wall0
-  in
-  {
-    m_servers = servers;
-    m_clients = clients;
-    m_stripes = stripes;
-    m_writes_each = writes_each;
-    m_wall_s = wall;
-    m_events = Dessim.Engine.events_dispatched (Cluster.engine cl);
-    m_requests = clients * writes_each;
-    m_sim_pio_s = pio;
-    m_sim_total_s = Cluster.now cl;
-    m_migrations = List.length (Cluster.migrations cl);
-    m_stale_bounces = Cluster.total_stale_bounces cl;
-    m_write_lat = lat;
-    m_lock_stats = Cluster.sum_lock_stats cl;
-  }
-
-let requests_per_sim_s m =
-  float_of_int m.m_requests /. Float.max 1e-9 m.m_sim_pio_s
-
-let row_of (m : measurement) =
-  let s = m.m_lock_stats in
-  let open Obs.Json in
-  Obj
+  let cl = p.cluster and lat = p.value in
+  let s = Cluster.sum_lock_stats cl in
+  let requests = clients * writes_each in
+  let rate = float_of_int requests /. Float.max 1e-9 p.pio in
+  let migrations = List.length (Cluster.migrations cl) in
+  let bounces = Cluster.total_stale_bounces cl in
+  let p99 = Stats.percentile lat 99. in
+  let cells ~speedup =
     [
-      ("experiment", Str "shard");
-      ("scale", Float (Obs.Hub.scale ()));
-      ("servers", Int m.m_servers);
-      ("clients", Int m.m_clients);
-      ("stripes", Int m.m_stripes);
-      ("writes_each", Int m.m_writes_each);
-      ("xfer_bytes", Int xfer);
-      ("requests", Int m.m_requests);
-      ("sim_pio_s", Float m.m_sim_pio_s);
-      ("sim_total_s", Float m.m_sim_total_s);
-      ("requests_per_sim_s", Float (requests_per_sim_s m));
-      ("wall_s", Float m.m_wall_s);
-      ("events", Int m.m_events);
-      ("migrations", Int m.m_migrations);
-      ("stale_bounces", Int m.m_stale_bounces);
-      ("write_lat_p50_s", Float (Stats.percentile m.m_write_lat 50.));
-      ("write_lat_p99_s", Float (Stats.percentile m.m_write_lat 99.));
-      ( "lock_stats",
-        Obj
-          [
-            ("grants", Int s.grants);
-            ("revokes_sent", Int s.revokes_sent);
-            ("releases", Int s.releases);
-            ("revocation_wait_s", Float s.revocation_wait);
-            ("max_queue", Int s.max_queue);
-          ] );
+      string_of_int servers;
+      Printf.sprintf "%.4g" rate;
+      Printf.sprintf "%.2fx" speedup;
+      string_of_int migrations;
+      string_of_int bounces;
+      string_of_int s.max_queue;
+      Units.seconds_to_string p99;
+      Units.seconds_to_string p.wall_s;
     ]
+  in
+  let open Obs.Json in
+  ( rate,
+    cells,
+    Obj
+      [
+        ("experiment", Str "shard");
+        ("scale", Float (Obs.Hub.scale ()));
+        ("servers", Int servers);
+        ("clients", Int clients);
+        ("stripes", Int stripes);
+        ("writes_each", Int writes_each);
+        ("xfer_bytes", Int xfer);
+        ("requests", Int requests);
+        ("sim_pio_s", Float p.pio);
+        ("sim_total_s", Float (Cluster.now cl));
+        ("requests_per_sim_s", Float rate);
+        ("wall_s", Float p.wall_s);
+        ("events", Int (Dessim.Engine.events_dispatched (Cluster.engine cl)));
+        ("migrations", Int migrations);
+        ("stale_bounces", Int bounces);
+        ("write_lat_p50_s", Float (Stats.percentile lat 50.));
+        ("write_lat_p99_s", Float p99);
+        ( "lock_stats",
+          Obj
+            [
+              ("grants", Int s.grants);
+              ("revokes_sent", Int s.revokes_sent);
+              ("releases", Int s.releases);
+              ("revocation_wait_s", Float s.revocation_wait);
+              ("max_queue", Int s.max_queue);
+            ] );
+      ] )
 
 let results_schema = "ccpfs.shard/1"
 let results_path = "BENCH_shard.json"
-
-(* Append the shard rows to BENCH_shard.json without disturbing whatever
-   the experiment harness has accumulated for BENCH_experiments.json. *)
-let write_rows rows =
-  let prior = Obs.Results.rows () in
-  Obs.Results.clear ();
-  List.iter Obs.Results.add rows;
-  let n =
-    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path ()
-  in
-  List.iter Obs.Results.add prior;
-  n
 
 let run ~scale =
   let writes_each = Harness.scaled ~scale 8 in
@@ -252,24 +169,16 @@ let run ~scale =
   let rows =
     List.map
       (fun servers ->
-        let m = run_one ~servers ~clients ~stripes ~writes_each in
-        let rate = requests_per_sim_s m in
+        let rate, cells, row = point ~servers ~clients ~stripes ~writes_each in
         if Option.is_none !base then base := Some rate;
-        Table.add_row tbl
-          [
-            string_of_int m.m_servers;
-            Printf.sprintf "%.4g" rate;
-            Printf.sprintf "%.2fx" (rate /. Option.get !base);
-            string_of_int m.m_migrations;
-            string_of_int m.m_stale_bounces;
-            string_of_int m.m_lock_stats.max_queue;
-            Units.seconds_to_string (Stats.percentile m.m_write_lat 99.);
-            Units.seconds_to_string m.m_wall_s;
-          ];
-        row_of m)
+        Table.add_row tbl (cells ~speedup:(rate /. Option.get !base));
+        row)
       (server_counts ())
   in
-  let n = write_rows rows in
+  let n =
+    Obs.Results.write ~append:true ~schema:results_schema ~path:results_path
+      rows
+  in
   Table.add_note tbl
     (Printf.sprintf
        "sim reqs/s = lock requests per simulated second (service capacity); \

@@ -76,11 +76,21 @@ let result_row cl ~run_id ~servers ~clients r =
       ("metrics", Obs.Metrics.to_json (Dessim.Engine.metrics (Cluster.engine cl)));
     ]
 
-let run_custom ?params ?config ?policy ~servers ~clients setup k =
-  let last_run_id = ref 0 in
+type 'a pass = {
+  cluster : Cluster.t;
+  pio : float;
+  f : float;
+  wall_s : float;
+  run_id : int;
+  value : 'a;
+}
+
+let measure ?params ?config ?policy ?reliability ?replication ~name ~servers
+    ~clients setup =
   let one_pass () =
-    let cl = Cluster.create ?params ?config ?policy ~n_servers:servers
-        ~n_clients:clients ()
+    let cl =
+      Cluster.create ?params ?config ?policy ?reliability ?replication
+        ~n_servers:servers ~n_clients:clients ()
     in
     let eng = Cluster.engine cl in
     (* The sink label uses the run counter before it advances, so the
@@ -88,7 +98,7 @@ let run_custom ?params ?config ?policy ~servers ~clients setup k =
     (match Obs.Hub.new_sink () with
     | Some sink -> Dessim.Engine.set_trace_sink eng sink
     | None -> ());
-    last_run_id := Obs.Hub.next_run_id ();
+    let run_id = Obs.Hub.next_run_id () in
     Obs.Metrics.enable (Dessim.Engine.metrics eng);
     if Check.Sanitize.enabled () then Check.Sanitize.attach_cluster cl;
     (* PIO ends when the last application process finishes; lock-cancel
@@ -100,34 +110,53 @@ let run_custom ?params ?config ?policy ~servers ~clients setup k =
           body c;
           if Cluster.now cl > !writers_done then writers_done := Cluster.now cl)
     in
-    setup cl spawn;
+    let finish = setup cl spawn in
     Check.Sanitize.run_cluster cl;
+    let value = finish () in
     let pio = !writers_done in
     Cluster.fsync_all cl;
     let f = Cluster.now cl -. pio in
     Cluster.check_invariants cl;
     if Check.Sanitize.enabled () then Check.Sanitize.check_cluster cl;
-    (cl, pio, f)
+    { cluster = cl; pio; f; wall_s = 0.; run_id; value }
   in
-  let cl, pio, f =
+  let measured () =
     if Check.Sanitize.determinism_enabled () then begin
       (* The simulator must be a pure function of the scenario: build
-         and run the whole world twice and compare event streams. *)
-      let result = ref None in
+         and run the whole world twice and compare event streams.  Only
+         the kept (second) pass is a measurement. *)
+      let kept = ref None in
       ignore
-        (Check.Determinism.check ~name:"harness" (fun () ->
-             let (cl, _, _) as r = one_pass () in
-             result := Some r;
-             Cluster.engine cl));
-      Option.get !result
+        (Check.Determinism.check ~name (fun () ->
+             let p = one_pass () in
+             kept := Some p;
+             Cluster.engine p.cluster));
+      Option.get !kept
     end
     else one_pass ()
   in
-  let r = collect cl ~pio ~f in
-  (* In determinism mode one_pass ran twice but only the kept pass is a
+  let p, wall_s =
+    (let t0 = Unix.gettimeofday () in
+     let p = measured () in
+     (p, Unix.gettimeofday () -. t0))
+    [@lint.allow
+      "D003 host wall-clock IS the measured quantity here: wall_s reports \
+       the real elapsed time of the pass, not simulated time"]
+  in
+  { p with wall_s }
+
+let run_custom ?params ?config ?policy ~servers ~clients setup k =
+  let p =
+    measure ?params ?config ?policy ~name:"harness" ~servers ~clients
+      (fun cl spawn ->
+        setup cl spawn;
+        Fun.id)
+  in
+  let r = collect p.cluster ~pio:p.pio ~f:p.f in
+  (* In determinism mode the pass ran twice but only the kept pass is a
      measurement: exactly one row per logical run. *)
-  Obs.Results.add (result_row cl ~run_id:!last_run_id ~servers ~clients r);
-  k cl r
+  Obs.Results.add (result_row p.cluster ~run_id:p.run_id ~servers ~clients r);
+  k p.cluster r
 
 let run_streams ?params ?config ?policy ?mode ?lock_whole_range
     ?(stripe_size = Units.mib) ~servers ~stripes ~streams () =
@@ -144,6 +173,32 @@ let run_streams ?params ?config ?policy ?mode ?lock_whole_range
                 accesses))
         streams)
     (fun _ r -> r)
+
+let env key parse ~default =
+  match Sys.getenv_opt key with
+  | None -> default
+  | Some s -> Option.value (parse (String.trim s)) ~default
+
+let env_int ?(min = 1) key ~default =
+  env key ~default (fun s ->
+      Option.bind (int_of_string_opt s) (fun n ->
+          if n >= min then Some n else None))
+
+(* Comma-separated positive numbers; malformed or non-positive tokens are
+   dropped, and a list with nothing left falls back to [default]. *)
+let env_list of_string ~positive key ~default =
+  env key ~default (fun s ->
+      match
+        String.split_on_char ',' s
+        |> List.filter_map (fun tok ->
+               Option.bind (of_string (String.trim tok)) (fun v ->
+                   if positive v then Some v else None))
+      with
+      | [] -> None
+      | l -> Some l)
+
+let env_ints = env_list int_of_string_opt ~positive:(fun n -> n > 0)
+let env_floats = env_list float_of_string_opt ~positive:(fun v -> v > 0.)
 
 let scaled ~scale n =
   max 1 (int_of_float (Float.round (float_of_int n *. scale)))

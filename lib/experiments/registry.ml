@@ -164,4 +164,7 @@ let run_all ?scale () = List.iter (fun e -> run_one ?scale e) all
 
 let results_schema = "ccpfs.experiments/1"
 
-let write_results ~path = Obs.Results.write ~schema:results_schema ~path ()
+let write_results ~path =
+  let rows = Obs.Results.rows () in
+  Obs.Results.clear ();
+  Obs.Results.write ~schema:results_schema ~path rows

@@ -2,6 +2,7 @@ let acc : Json.t list ref = ref [] (* newest first *)
 
 let add row = acc := row :: !acc
 let count () = List.length !acc
+
 let rows () = List.rev !acc
 let clear () = acc := []
 
@@ -10,8 +11,6 @@ let doc_of ~schema rows =
     [ ("schema", Json.Str schema);
       ("generated_by", Json.Str "ccpfs (SeqDLM reproduction)");
       ("results", Json.List rows) ]
-
-let document ~schema = doc_of ~schema (rows ())
 
 let read_file path =
   let ic = open_in_bin path in
@@ -35,10 +34,7 @@ let prior_rows ~schema ~path =
         | None -> [])
     | Ok _ | Error _ -> []
 
-let write ?(append = false) ~schema ~path () =
-  let all =
-    (if append then prior_rows ~schema ~path else []) @ rows ()
-  in
+let write ?(append = false) ~schema ~path rows =
+  let all = (if append then prior_rows ~schema ~path else []) @ rows in
   Json.to_file path (doc_of ~schema all);
-  clear ();
   List.length all

@@ -101,6 +101,31 @@ let test_scaled_helper () =
   Alcotest.(check int) "rounds" 5 (Experiments.Harness.scaled ~scale:0.05 100);
   Alcotest.(check int) "identity" 100 (Experiments.Harness.scaled ~scale:1.0 100)
 
+(* The experiment knob parsers: one trimmed parse with a default on
+   malformed input.  A padded value such as CCPFS_SHARD_CLIENTS=" 32"
+   must be read as 32, not fall back to the 512 default. *)
+let test_env_knobs () =
+  let module H = Experiments.Harness in
+  let key = "CCPFS_TEST_KNOB" in
+  let with_value v f =
+    Unix.putenv key v;
+    Fun.protect ~finally:(fun () -> Unix.putenv key "") f
+  in
+  let int ?min v = with_value v (fun () -> H.env_int ?min key ~default:7) in
+  Alcotest.(check int) "padded value accepted" 32 (int " 32 ");
+  Alcotest.(check int) "0 falls back" 7 (int "0");
+  Alcotest.(check int) "x falls back" 7 (int "x");
+  Alcotest.(check int) "empty falls back" 7 (int "");
+  Alcotest.(check int) "below the knob's bound" 7 (int ~min:2 "1");
+  Alcotest.(check int) "at the knob's bound" 2 (int ~min:2 "2");
+  let ints v = with_value v (fun () -> H.env_ints key ~default:[ 9 ]) in
+  Alcotest.(check (list int)) "bad tokens dropped" [ 1; 2 ] (ints " 1, x,0 , 2");
+  Alcotest.(check (list int)) "nothing left" [ 9 ] (ints "x,0,-3");
+  let floats v = with_value v (fun () -> H.env_floats key ~default:[ 0.25 ]) in
+  Alcotest.(check (list (float 0.))) "float tokens" [ 0.5; 1.4 ]
+    (floats "0.5, y,-1 ,1.4");
+  Alcotest.(check (list (float 0.))) "empty list" [ 0.25 ] (floats " ")
+
 let test_registry_complete () =
   let ids = List.map (fun (e : Experiments.Registry.t) -> e.id)
       Experiments.Registry.all
@@ -142,6 +167,7 @@ let suite =
         Alcotest.test_case "PIO excludes async flushing" `Quick
           test_harness_pio_excludes_async_flush;
         Alcotest.test_case "scaled helper" `Quick test_scaled_helper;
+        Alcotest.test_case "env knob helpers" `Quick test_env_knobs;
         Alcotest.test_case "registry covers all artefacts" `Quick
           test_registry_complete;
       ] );

@@ -288,14 +288,14 @@ let row k = Json.Obj [ ("k", Json.Int k) ]
 
 let test_results_append_keeps_rows () =
   with_temp_results (fun path ->
-      Results.add (row 1);
+      Results.add (row 9);
       Alcotest.(check int) "first write" 1
-        (Results.write ~schema:"ccpfs.test/1" ~path ());
-      Alcotest.(check int) "accumulator cleared" 0 (Results.count ());
-      Results.add (row 2);
-      Results.add (row 3);
+        (Results.write ~schema:"ccpfs.test/1" ~path [ row 1 ]);
+      Alcotest.(check int) "the accumulator is not written or drained" 1
+        (Results.count ());
       Alcotest.(check int) "append reports the total" 3
-        (Results.write ~append:true ~schema:"ccpfs.test/1" ~path ());
+        (Results.write ~append:true ~schema:"ccpfs.test/1" ~path
+           [ row 2; row 3 ]);
       Alcotest.(check (list (option int)))
         "prior rows first, new rows after"
         [ Some 1; Some 2; Some 3 ]
@@ -305,11 +305,9 @@ let test_results_append_keeps_rows () =
 
 let test_results_append_schema_mismatch () =
   with_temp_results (fun path ->
-      Results.add (row 1);
-      ignore (Results.write ~schema:"ccpfs.old/1" ~path ());
-      Results.add (row 2);
+      ignore (Results.write ~schema:"ccpfs.old/1" ~path [ row 1 ]);
       Alcotest.(check int) "different schema: overwritten, not merged" 1
-        (Results.write ~append:true ~schema:"ccpfs.new/1" ~path ());
+        (Results.write ~append:true ~schema:"ccpfs.new/1" ~path [ row 2 ]);
       Alcotest.(check (list (option int)))
         "only the new row survives" [ Some 2 ]
         (List.map
@@ -320,9 +318,8 @@ let test_results_append_unparsable_file () =
   with_temp_results (fun path ->
       Out_channel.with_open_text path (fun oc ->
           Out_channel.output_string oc "{not json");
-      Results.add (row 7);
       Alcotest.(check int) "unparsable file: overwritten" 1
-        (Results.write ~append:true ~schema:"ccpfs.test/1" ~path ());
+        (Results.write ~append:true ~schema:"ccpfs.test/1" ~path [ row 7 ]);
       Alcotest.(check (list (option int)))
         "fresh document" [ Some 7 ]
         (List.map
