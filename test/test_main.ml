@@ -24,6 +24,7 @@ let () =
             Test_meta.suite;
             Test_experiments.suite;
             Test_golden_rows.suite;
+            Test_golden_contended.suite;
             Test_load.suite;
             Test_fuzz.suite;
             Test_ha.suite;
