@@ -76,8 +76,9 @@ val control : t -> Types.ctl_msg -> unit
 val submit_batch :
   t -> (Types.request * (Types.grant -> unit)) list -> unit
 (** Vectorized {!submit}: decide a request vector in list order with the
-    queue-scan cost amortized over the batch (each element after the
-    first reuses the quiescent pass cache its predecessor refreshed).
+    queue-scan cost amortized over the batch (each element's pass resumes
+    at the first waiter a change since the previous pass can affect —
+    usually the element itself, DESIGN.md §10).
     Semantically equivalent to N sequential {!submit}s — grants, SNs,
     queue order and stats are identical; the differential suite pins
     this.  Installed as the lock endpoint's transport batch handler. *)

@@ -18,7 +18,7 @@ open Ccpfs
 
 (* CI's crash-smoke job pins the client count:
    CCPFS_FAILOVER_CLIENTS=8 ccpfs_run run failover *)
-let client_count () = Harness.env_int ~min:2 "CCPFS_FAILOVER_CLIENTS" ~default:8
+let client_count () = Knob.env_int ~min:2 "CCPFS_FAILOVER_CLIENTS" ~default:8
 
 let bucket_count = 24
 

@@ -36,14 +36,14 @@ open Ccpfs
 let xfer = 64 * Units.kib
 let seed_base = 0x10ad
 
-let clients () = Harness.env_int "CCPFS_LOAD_CLIENTS" ~default:128
+let clients () = Knob.env_int "CCPFS_LOAD_CLIENTS" ~default:128
 let default_grid = [ 0.25; 0.5; 0.75; 0.9; 1.1; 1.4 ]
 
 let churn_enabled () =
-  Harness.env "CCPFS_LOAD_CHURN" (fun s -> Some (s <> "0")) ~default:true
+  Knob.env "CCPFS_LOAD_CHURN" (fun s -> Some (s <> "0")) ~default:true
 
 let process_name () =
-  Harness.env "CCPFS_LOAD_PROCESS" ~default:"poisson" (function
+  Knob.env "CCPFS_LOAD_PROCESS" ~default:"poisson" (function
     | "" -> None
     | s -> Some (String.lowercase_ascii s))
 
@@ -145,32 +145,32 @@ let setup ~scale =
   let n_clients = clients () in
   let writes_each = Harness.scaled ~scale 8 in
   let requests =
-    Harness.env_int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each)
+    Knob.env_int "CCPFS_LOAD_REQUESTS" ~default:(n_clients * writes_each)
   in
   let cal = calibrate ~n_clients ~writes_each in
   let slo_s =
-    Harness.env "CCPFS_LOAD_SLO_MS"
+    Knob.env "CCPFS_LOAD_SLO_MS"
       ~default:(3. *. Stats.percentile cal.closed_lat 99.)
       (fun s ->
         Option.bind (float_of_string_opt s) (fun ms ->
             if ms > 0. then Some (ms /. 1e3) else None))
   in
   let rates =
-    Harness.env_floats "CCPFS_LOAD_RATES"
+    Knob.env_floats "CCPFS_LOAD_RATES"
       ~default:
         (List.map
            (fun m -> m *. cal.cap_rps)
-           (Harness.env_floats "CCPFS_LOAD_GRID" ~default:default_grid))
+           (Knob.env_floats "CCPFS_LOAD_GRID" ~default:default_grid))
   in
   {
     s_clients = n_clients;
     s_requests = requests;
     s_process = process_name ();
-    s_cap = Harness.env_int "CCPFS_LOAD_CAP" ~default:(4 * n_clients);
+    s_cap = Knob.env_int "CCPFS_LOAD_CAP" ~default:(4 * n_clients);
     s_churn = churn_enabled ();
     s_slo_s = slo_s;
     s_rates = rates;
-    s_bisect = Harness.env_int "CCPFS_LOAD_BISECT" ~default:0;
+    s_bisect = Knob.env_int "CCPFS_LOAD_BISECT" ~default:0;
     s_cal = cal;
   }
 

@@ -24,7 +24,7 @@ open Ccpfs
 
 (* CI's crash-smoke job pins the client count:
    CCPFS_REPL_CLIENTS=8 ccpfs_run run repl *)
-let client_count () = Harness.env_int ~min:2 "CCPFS_REPL_CLIENTS" ~default:8
+let client_count () = Knob.env_int ~min:2 "CCPFS_REPL_CLIENTS" ~default:8
 
 (* Replication factor under test: CCPFS_REPL when set, else f=1. *)
 let repl_factor () = Stdlib.max 1 Config.default.Config.replication

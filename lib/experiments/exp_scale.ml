@@ -16,7 +16,7 @@ open Ccpfs
 (* CI's scale-smoke job runs the 1024-client point only:
    CCPFS_SCALE_CLIENTS="1024" ccpfs_run run scale *)
 let client_counts () =
-  Harness.env_ints "CCPFS_SCALE_CLIENTS" ~default:[ 128; 256; 512 ]
+  Knob.env_ints "CCPFS_SCALE_CLIENTS" ~default:[ 128; 256; 512 ]
 
 let xfer = 64 * Units.kib
 

@@ -25,10 +25,10 @@ open Ccpfs
 (* CI's shard-smoke job runs a reduced sweep:
    CCPFS_SHARD_SERVERS="1,2" CCPFS_SHARD_CLIENTS=32 ccpfs_run run shard *)
 let server_counts () =
-  Harness.env_ints "CCPFS_SHARD_SERVERS" ~default:[ 1; 2; 4; 8 ]
+  Knob.env_ints "CCPFS_SHARD_SERVERS" ~default:[ 1; 2; 4; 8 ]
 
-let client_count () = Harness.env_int "CCPFS_SHARD_CLIENTS" ~default:512
-let stripe_count () = Harness.env_int "CCPFS_SHARD_STRIPES" ~default:32
+let client_count () = Knob.env_int "CCPFS_SHARD_CLIENTS" ~default:512
+let stripe_count () = Knob.env_int "CCPFS_SHARD_STRIPES" ~default:32
 
 let stripe_size = 64 * Units.kib
 let xfer = 16 * Units.kib

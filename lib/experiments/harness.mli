@@ -86,27 +86,6 @@ val run_custom :
     together with the final fsync drain, exactly like the paper's PIO/F
     split ("the write performance that applications can see"). *)
 
-(** {1 Experiment knobs}
-
-    Every experiment reads its [CCPFS_*] knobs through these.  A value is
-    trimmed before it is parsed; an unset, empty or malformed value
-    yields [default]. *)
-
-val env : string -> (string -> 'a option) -> default:'a -> 'a
-(** [env key parse ~default]: [parse] the trimmed value of [key]; [None]
-    falls back to [default]. *)
-
-val env_int : ?min:int -> string -> default:int -> int
-(** An integer of at least [min] (default 1). *)
-
-val env_ints : string -> default:int list -> int list
-(** A comma-separated list of positive integers; malformed or
-    non-positive tokens are dropped, and [default] replaces a list with
-    nothing left. *)
-
-val env_floats : string -> default:float list -> float list
-(** {!env_ints} for positive floats. *)
-
 val scaled : scale:float -> int -> int
 (** [scaled ~scale n] = max 1 (round (n·scale)). *)
 

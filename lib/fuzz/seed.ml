@@ -2,16 +2,16 @@ let env_var = "CCPFS_SEED"
 let default = 0x5eed
 
 let base () =
-  match Sys.getenv_opt env_var with
-  | None | Some "" -> default
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n -> n
-      | None ->
-          invalid_arg (Printf.sprintf "%s=%S is not an integer" env_var s))
+  Ccpfs_util.Knob.env env_var ~default (function
+    | "" -> None
+    | s -> (
+        match int_of_string_opt s with
+        | Some n -> Some n
+        | None ->
+            invalid_arg (Printf.sprintf "%s=%S is not an integer" env_var s)))
 
 let from_env () =
-  match Sys.getenv_opt env_var with None | Some "" -> false | Some _ -> true
+  Ccpfs_util.Knob.env env_var (fun s -> Some (s <> "")) ~default:false
 
 let label name = Printf.sprintf "%s [%s=%d]" name env_var (base ())
 (* Same stream as the historical Random.State.make call, but minted by

@@ -18,23 +18,12 @@ type t = {
 (* CCPFS_BATCH=k turns RPC batching on everywhere a Config.default flows
    (experiments, the fuzzer's config_of) without touching call sites;
    unset or 0/1 leaves the transport unbatched. *)
-let env_batch_k =
-  match Sys.getenv_opt "CCPFS_BATCH" with
-  | None | Some "" -> 0
-  | Some s -> ( match int_of_string_opt (String.trim s) with
-    | Some k when k > 1 -> k
-    | _ -> 0)
+let env_batch_k = Knob.env_int ~min:2 "CCPFS_BATCH" ~default:0
 
 (* CCPFS_REPL=f replicates every lock server's grant log to f backups
    (DESIGN.md §16) wherever a Config.default flows; unset or 0 runs
    unreplicated (recovery falls back to the client gather). *)
-let env_repl =
-  match Sys.getenv_opt "CCPFS_REPL" with
-  | None | Some "" -> 0
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some f when f > 0 -> f
-      | _ -> 0)
+let env_repl = Knob.env_int "CCPFS_REPL" ~default:0
 
 let default =
   {

@@ -46,6 +46,8 @@ let remove t n =
 
 let first_node t = t.first
 let succ n = n.next
+let last_node t = t.last
+let pred n = n.prev
 
 let last_values t n =
   let rec go acc k = function

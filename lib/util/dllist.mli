@@ -33,6 +33,13 @@ val succ : 'a node -> 'a node option
     still leads back into the live chain.  Check {!active} before using
     a node reached this way. *)
 
+val last_node : 'a t -> 'a node option
+(** The tail node, if any; O(1). *)
+
+val pred : 'a node -> 'a node option
+(** The node before a live node; [None] for the head and for a removed
+    node. *)
+
 val last_values : 'a t -> int -> 'a list
 (** The last [n] values (all of them if fewer), head-to-tail; O(n). *)
 

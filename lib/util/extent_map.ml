@@ -54,6 +54,13 @@ let overlapping t (iv : Interval.t) =
   |> List.map (fun (l, h, v) ->
          (Interval.v ~lo:(max l iv.lo) ~hi:(min h iv.hi), v))
 
+(* The last extent starting before [iv.hi] overlaps [iv] iff it ends
+   after [iv.lo]; every earlier extent ends before that one starts. *)
+let overlaps t (iv : Interval.t) =
+  match Int_map.find_last_opt (fun k -> k < iv.hi) t.m with
+  | Some (_, (h, _)) -> h > iv.lo
+  | None -> false
+
 let covered m (iv : Interval.t) =
   let rec loop pos = function
     | [] -> pos >= iv.hi

@@ -33,6 +33,10 @@ val find : 'a t -> int -> 'a option
 val overlapping : 'a t -> Interval.t -> (Interval.t * 'a) list
 (** Extents intersecting the range, clipped to it, in offset order. *)
 
+val overlaps : 'a t -> Interval.t -> bool
+(** [overlapping m iv <> []], in one ordered-map probe and without
+    building the list. *)
+
 val covered : 'a t -> Interval.t -> bool
 (** True iff every byte of the range is mapped. *)
 

@@ -145,6 +145,22 @@ let exists_overlapping t q p =
   | () -> false
   | exception Found -> true
 
+(* In-order from the first entry starting at or after [lo]: a node
+   starting before [lo] prunes itself and its left subtree, so the walk
+   costs the descent plus the entries it passes over before [p] holds. *)
+let first_from t lo p =
+  let rec go = function
+    | Leaf -> None
+    | Node n when n.lo < lo -> go n.r
+    | Node n -> (
+        match go n.l with
+        | Some _ as found -> found
+        | None ->
+            let iv = Interval.v ~lo:n.lo ~hi:n.hi in
+            if p iv n.id n.v then Some (iv, n.id, n.v) else go n.r)
+  in
+  go t.tree
+
 let rec iter_all tree f =
   match tree with
   | Leaf -> ()

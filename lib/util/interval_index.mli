@@ -29,6 +29,12 @@ val fold_overlapping :
 
 val exists_overlapping : 'a t -> Interval.t -> (Interval.t -> int -> 'a -> bool) -> bool
 
+val first_from :
+  'a t -> int -> (Interval.t -> int -> 'a -> bool) -> (Interval.t * int * 'a) option
+(** [first_from t lo p]: the first entry in (lo, id) order whose start is
+    at least [lo] and that satisfies [p].  The walk stops there, so it
+    costs O(log n) plus the entries it passes over. *)
+
 val iter : (Interval.t -> int -> 'a -> unit) -> 'a t -> unit
 val to_list : 'a t -> (Interval.t * int * 'a) list
 (** All entries in (lo, id) order. *)

@@ -101,11 +101,12 @@ let test_scaled_helper () =
   Alcotest.(check int) "rounds" 5 (Experiments.Harness.scaled ~scale:0.05 100);
   Alcotest.(check int) "identity" 100 (Experiments.Harness.scaled ~scale:1.0 100)
 
-(* The experiment knob parsers: one trimmed parse with a default on
-   malformed input.  A padded value such as CCPFS_SHARD_CLIENTS=" 32"
-   must be read as 32, not fall back to the 512 default. *)
+(* The experiment knobs go through the one trimmed parser
+   ([Ccpfs_util.Knob]) with a default on malformed input.  A padded
+   value such as CCPFS_SHARD_CLIENTS=" 32" must be read as 32, not fall
+   back to the 512 default. *)
 let test_env_knobs () =
-  let module H = Experiments.Harness in
+  let module H = Ccpfs_util.Knob in
   let key = "CCPFS_TEST_KNOB" in
   let with_value v f =
     Unix.putenv key v;
