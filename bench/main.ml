@@ -289,6 +289,71 @@ let bench_check_server =
       ("check_server_full", Check.Invariant.check_server_full);
     ]
 
+(* The conflict path of the strided_hard benchmark workload, without
+   the simulated network: 64 clients each take NBW locks on interleaved,
+   page-aligned 47008-byte slots (IO500-hard), one slot after another.
+   A grant triggers the client's next request; a revocation is answered
+   with an ack and then a release, and each of those drives a queue
+   pass over a deep, partially blocked queue. *)
+let bench_lock_server_strided_nbw =
+  let n = 64 and rounds = 8 and xfer = 47008 in
+  Test.make
+    ~name:
+      (Printf.sprintf "lock_server: %d clients x %d strided %d-byte NBW" n
+         rounds xfer)
+    (Staged.stage (fun () ->
+         let params = Netsim.Params.default in
+         let eng = Dessim.Engine.create () in
+         let node = Netsim.Node.create eng params ~name:"s" () in
+         let server =
+           Seqdlm.Lock_server.create eng params ~node ~name:"ls"
+             ~policy:Seqdlm.Policy.seqdlm
+         in
+         for cid = 0 to n - 1 do
+           let cn =
+             Netsim.Node.create eng params ~name:(Printf.sprintf "c%d" cid) ()
+           in
+           Seqdlm.Lock_server.register_client server cid
+             (Netsim.Rpc.endpoint eng params ~node:cn
+                ~name:(Printf.sprintf "c%d.cb" cid)
+                ~handler:(fun _ ~reply -> reply ()))
+         done;
+         (* Work is queued, not run from inside the server's hooks. *)
+         let work = Queue.create () in
+         Seqdlm.Lock_server.set_tracer server (fun _ ev ->
+             match ev with
+             | Seqdlm.Lock_server.T_revoke { t_rid; t_lock_id; _ } ->
+                 Queue.push (`Revoked (t_rid, t_lock_id)) work
+             | _ -> ());
+         let request cid round =
+           let slot = (round * n) + cid in
+           let lo = slot * xfer / Units.page * Units.page in
+           let hi =
+             ((slot + 1) * xfer + Units.page - 1) / Units.page * Units.page
+           in
+           Seqdlm.Lock_server.submit server
+             {
+               Seqdlm.Types.client = cid;
+               rid = 1;
+               mode = Seqdlm.Mode.NBW;
+               ranges = [ iv lo hi ];
+             }
+             ~on_grant:(fun _ -> Queue.push (`Granted (cid, round)) work)
+         in
+         for cid = 0 to n - 1 do
+           request cid 0
+         done;
+         while not (Queue.is_empty work) do
+           match Queue.pop work with
+           | `Granted (cid, round) -> if round + 1 < rounds then request cid (round + 1)
+           | `Revoked (rid, lock_id) ->
+               Seqdlm.Lock_server.control server
+                 (Seqdlm.Types.Revoke_ack { rid; lock_id });
+               Seqdlm.Lock_server.control server
+                 (Seqdlm.Types.Release { rid; lock_id })
+         done;
+         Sys.opaque_identity (Seqdlm.Lock_server.stats server).grants))
+
 let micro_tests =
   Test.make_grouped ~name:"seqdlm-micro"
     [
@@ -300,6 +365,7 @@ let micro_tests =
       bench_interval_index_query;
       Test.make_grouped ~name:"arrivals" bench_arrival_gaps;
       bench_lock_server_contended_pass;
+      bench_lock_server_strided_nbw;
       Test.make_grouped ~name:"check" bench_check_server;
       bench_engine_events;
       bench_lock_handoff;
