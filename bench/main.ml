@@ -320,7 +320,7 @@ let bench_lock_server_strided_nbw =
          done;
          (* Work is queued, not run from inside the server's hooks. *)
          let work = Queue.create () in
-         Seqdlm.Lock_server.set_tracer server (fun _ ev ->
+         Seqdlm.Lock_server.add_tracer server (fun _ ev ->
              match ev with
              | Seqdlm.Lock_server.T_revoke { t_rid; t_lock_id; _ } ->
                  Queue.push (`Revoked (t_rid, t_lock_id)) work

@@ -109,7 +109,7 @@ let trace_cmd =
         | Some sink ->
             Dessim.Engine.set_trace_sink (Ccpfs.Cluster.engine cl) sink
         | None -> ());
-        Seqdlm.Lock_server.set_tracer (Ccpfs.Cluster.lock_server cl 0)
+        Seqdlm.Lock_server.add_tracer (Ccpfs.Cluster.lock_server cl 0)
           (fun now ev ->
             Format.printf "%10.1fus  %a@." (now *. 1e6)
               Seqdlm.Lock_server.pp_trace_event ev);

@@ -34,21 +34,21 @@ let edges_of_server srv =
           List.filter_map
             (fun (g : Lock_server.lock_view) ->
               if
-                g.v_client <> w.q_client
-                && Types.ranges_overlap w.q_ranges g.v_ranges
+                g.v_client <> w.req.client
+                && Types.ranges_overlap w.req.ranges g.v_ranges
                 && not
-                     (Lcm.compatible ~req:w.q_eff_mode ~granted:g.v_mode
+                     (Lcm.compatible ~req:w.eff_mode ~granted:g.v_mode
                         ~state:g.v_state)
               then
                 Some
                   {
-                    e_waiter = w.q_client;
+                    e_waiter = w.req.client;
                     e_holder = g.v_client;
                     e_rid = rid;
-                    e_wait_mode = w.q_eff_mode;
+                    e_wait_mode = w.eff_mode;
                     e_hold_mode = g.v_mode;
                     e_hold_state = g.v_state;
-                    e_wait_ranges = w.q_ranges;
+                    e_wait_ranges = w.req.ranges;
                     e_hold_ranges = g.v_ranges;
                   }
               else None)

@@ -68,11 +68,11 @@ let check_sn srv rid =
 let fifo_walk srv rid waiters =
   let rec walk = function
     | (a : Lock_server.waiter_view) :: (b :: _ as rest) ->
-        if a.q_enq_time > b.q_enq_time then
+        if a.enq_time > b.enq_time then
           Violation.fail ~inv:"fifo-queue"
             "%s r%d queue out of order: c%d (t=%g) before c%d (t=%g)"
-            (Lock_server.name srv) rid a.q_client a.q_enq_time b.q_client
-            b.q_enq_time;
+            (Lock_server.name srv) rid a.req.client a.enq_time b.req.client
+            b.enq_time;
         walk rest
     | [] | [ _ ] -> ()
   in

@@ -1,7 +1,6 @@
 open Ccpfs_util
 open Dessim
 open Netsim
-module Int_map = Map.Make (Int)
 
 type stats = {
   mutable grants : int;
@@ -17,164 +16,25 @@ type stats = {
   mutable max_queue : int;
 }
 
-type lock = {
-  id : int;
-  client : Types.client_id;
-  mutable mode : Mode.t;
-  ranges : Interval.t list;
-  hull : Interval.t;
-  sn : int;
-  mutable state : Lcm.lock_state;
-  mutable revoke_sent : bool;
-  seq : int;
-      (* per-server insertion stamp; descending seq reproduces the
-         newest-first order the granted set was historically kept in, so
-         revocation fan-out order is unchanged from the list days *)
-}
-
-(* Per-pass blocked-request accumulator.  FIFO fairness: a request may
-   not overtake an earlier-queued request it conflicts with.  The old
-   implementation kept the earlier blocked requests as a list and
-   scanned it per waiter — O(queue^2) per pass.  Bucketing the blocked
-   ranges by mode (there are four) turns the check into at most four
-   extent-map probes: two range lists overlap iff one overlaps the union
-   of the other's bucket, and mode conflict depends only on the modes.
-
-   A value is never mutated once built ([add] copies the four slots), so
-   a waiter can keep the accumulator its visit left behind as a snapshot
-   that a later pass resumes from (see [pass]). *)
-module Blocked = struct
-  type t = unit Extent_map.t array (* indexed by mode rank *)
-
-  let mode_rank = function Mode.PR -> 0 | Mode.NBW -> 1 | Mode.BW -> 2 | Mode.PW -> 3
-  let modes = [| Mode.PR; Mode.NBW; Mode.BW; Mode.PW |]
-  let empty : t = Array.make 4 Extent_map.empty
-
-  let add (t : t) mode ranges =
-    let i = mode_rank mode in
-    let t = Array.copy t in
-    t.(i) <-
-      List.fold_left (fun m (r : Interval.t) -> Extent_map.set m r ()) t.(i)
-        ranges;
-    t
-
-  let blocks (t : t) mode ranges =
-    let conflicts_with i =
-      let m = modes.(i) in
-      Lcm.request_conflict mode m || Lcm.request_conflict m mode
-    in
-    let overlaps i =
-      (not (Extent_map.is_empty t.(i)))
-      && List.exists
-           (fun (r : Interval.t) -> Extent_map.overlaps t.(i) r)
-           ranges
-    in
-    let rec go i = i < 4 && ((conflicts_with i && overlaps i) || go (i + 1)) in
-    go 0
-
-  (* A blocked entry of a write mode spanning the whole offset space
-     blocks every possible later request: the three write modes conflict
-     with all four modes, and [0, eof) overlaps every valid interval.
-     Detecting such an entry lets [pass] stop probing the buckets. *)
-  let saturates mode ranges =
-    (match mode with Mode.PR -> false | Mode.NBW | Mode.BW | Mode.PW -> true)
-    && List.exists
-         (fun (r : Interval.t) -> r.lo = 0 && r.hi = Interval.eof)
-         ranges
-end
-
-type waiter = {
-  req : Types.request;
-  reply : Types.lock_reply -> unit;
-  mutable eff_mode : Mode.t;
-  enq_time : float;
-  mutable acks_time : float option;
-      (* when this waiter's conflict set first became all-CANCELING *)
-  internal : bool; (* sync_resource pseudo-request: drop lock on grant *)
-  wseq : int; (* enqueue stamp: queue order is ascending [wseq] *)
-  (* What this waiter's last visit left behind, for [pass] to resume
-     from (valid only while [wseq <= rstate.frontier]): *)
-  mutable after : Blocked.t; (* the accumulator after the visit *)
-  mutable after_sat : bool; (* and its saturation flag *)
-  mutable read_lo : int;
-  mutable read_hi : int;
-      (* hull of the ranges whose grants the visit read; empty when it
-         read only its client's grant count (a saturation skip) *)
-}
-
-(* A lock mutation, or a waiter's widened [eff_mode], that may alter a
-   queued waiter's next visit: the changed hull and client, and
-   [ch_pos], the [wseq] of the visit that made it ([max_int] for a
-   control message).  A visit stamped after [ch_pos] in the same pass
-   already saw it. *)
-type change = {
-  ch_hull : Interval.t;
-  ch_client : Types.client_id;
-  ch_pos : int;
-}
+type lock = Sched.lock
 
 (* Indexed per-resource state (the tentpole of the Fig. 17-20 hot path):
 
-   - [waiting] is a doubly-linked FIFO deque: O(1) enqueue, O(1) removal
-     of a waiter granted out of position, O(1) queue depth for the
-     dlm.queue metric and the max_queue stat;
    - [granted] is a lock-id hash table: O(1) find/release/ack;
    - [granted_idx] is an interval index over each lock's range hull, so
      conflict checks visit only hull-overlapping grants instead of the
-     whole set (candidates are still confirmed against exact ranges). *)
+     whole set (candidates are still confirmed against exact ranges);
+   - [q] is the FIFO wait queue and its scheduler ([Sched]). *)
 type rstate = {
   rid : Types.resource_id;
   mutable next_sn : int;
   granted : (int, lock) Hashtbl.t; (* by lock id *)
   mutable granted_idx : lock Interval_index.t; (* by range hull *)
-  by_client : (Types.client_id, int) Hashtbl.t;
-      (* grant count per client: a waiter whose client holds nothing has
-         no same-client locks to convert, so its blocked-queue visit can
-         be skipped in O(1) (see [pass]) *)
-  waiting : waiter Dllist.t; (* FIFO, head first *)
-  q_lo : int Int_map.t array;
-      (* waiting-queue expansion index, one slot per request-mode rank
-         (see [Blocked.mode_rank]): a multiset (hull-lo -> count) of the
-         queued waiters in that mode class, so the expansion bound in
-         [expanded_ranges] is four ordered-map probes instead of a scan
-         of the whole queue per grant *)
-  waiting_by_client : (Types.client_id, int) Hashtbl.t;
-      (* queued-waiter count per client: against [by_client] it tells a
-         saturated [pass] whether any remaining visit could still merge
-         a same-client grant — if none can, the rest of the walk is a
-         provable no-op and is cut short *)
+  by_client : int Sched.Client_tbl.t; (* grant count per client *)
+  q : Sched.t;
   mutable total_grants : int;
       (* cumulative; drives DLM-Lustre's contention heuristic *)
-  (* Incremental scheduling (DESIGN.md §10): a pass starts at the first
-     waiter whose visit an earlier change could alter, resuming from the
-     snapshot its predecessor's visit left behind. *)
-  mutable next_wseq : int;
-  mutable frontier : int;
-      (* waiters stamped at or below this hold a valid snapshot;
-         [min_int] after a reset *)
-  mutable pending : change list;
-      (* changes recorded since the current pass started (between
-         passes: since the last one started), newest first *)
-  mutable depth : int; (* passes in progress: above 1 = re-entered *)
-  mutable resets : int;
-      (* bumped by [reset]: a pass that sees it move under its walk
-         leaves no snapshot valid *)
-  mutable past_cut : waiter Dllist.node option;
-      (* the first waiter the last saturation cut left unvisited: while
-         no change is pending, the next pass resumes there *)
 }
-
-(* Invalidate every snapshot: the next pass walks the whole queue.  For
-   changes the per-waiter rule does not describe: a re-entrant pass, a
-   reinstalled lock, the sync pseudo-lock drop. *)
-let reset rs =
-  rs.frontier <- min_int;
-  rs.pending <- [];
-  rs.resets <- rs.resets + 1
-
-let record rs ~pos (hull : Interval.t) client =
-  rs.pending <-
-    { ch_hull = hull; ch_client = client; ch_pos = pos } :: rs.pending
 
 (* Replicated-state-machine feed (lib/repl, DESIGN.md §16): every durable
    state transition of the lock table is published as an upsert/drop
@@ -237,7 +97,7 @@ type t = {
   stats : stats;
   mutable lock_ep : (Types.request, Types.lock_reply) Rpc.endpoint option;
   mutable ctl_ep : (Types.ctl_msg, unit) Rpc.endpoint option;
-  mutable tracer : (float -> trace_event -> unit) option;
+  mutable tracers : (float -> trace_event -> unit) list; (* in install order *)
   mutable validator : (t -> unit) option;
   mutable repl : (repl_event -> unit) option;
       (* grant-log feed; None = replication off *)
@@ -268,15 +128,15 @@ type t = {
 let granted_add rs (g : lock) =
   Hashtbl.replace rs.granted g.id g;
   rs.granted_idx <- Interval_index.add rs.granted_idx g.hull ~id:g.id g;
-  let n = try Hashtbl.find rs.by_client g.client with Not_found -> 0 in
-  Hashtbl.replace rs.by_client g.client (n + 1)
+  let n = try Sched.Client_tbl.find rs.by_client g.client with Not_found -> 0 in
+  Sched.Client_tbl.replace rs.by_client g.client (n + 1)
 
 let granted_remove rs (g : lock) =
   Hashtbl.remove rs.granted g.id;
   rs.granted_idx <- Interval_index.remove rs.granted_idx g.hull ~id:g.id;
-  match Hashtbl.find rs.by_client g.client with
-  | 1 -> Hashtbl.remove rs.by_client g.client
-  | n -> Hashtbl.replace rs.by_client g.client (n - 1)
+  match Sched.Client_tbl.find rs.by_client g.client with
+  | 1 -> Sched.Client_tbl.remove rs.by_client g.client
+  | n -> Sched.Client_tbl.replace rs.by_client g.client (n - 1)
 
 (* Grant-set fold in raw table order, no sort.  Safe because every
    caller is order-insensitive — set-shaped invariant checks, or a
@@ -291,75 +151,12 @@ let granted_fold f rs acc =
     rs.granted acc
 let find_lock rs lock_id = Hashtbl.find_opt rs.granted lock_id
 
-(* The grants whose hull overlaps any of [ranges] and that satisfy
-   [keep], newest first — the order the old list-based granted set
-   presented candidates in.  The hull test is a superset filter: [keep]
-   re-checks exact ranges.  Filtering comes before sorting, and [seq] is
-   unique per lock, so sorting on it alone also removes the duplicates a
-   multi-range query finds. *)
-let hull_overlapping rs ranges ~keep =
-  let add acc _iv _id g = if keep g then g :: acc else acc in
-  let newest_first (a : lock) b = Int.compare b.seq a.seq in
-  match ranges with
-  | [ r ] ->
-      List.sort newest_first
-        (Interval_index.fold_overlapping rs.granted_idx r ~init:[] ~f:add)
-  | _ ->
-      List.sort_uniq newest_first
-        (List.fold_left
-           (fun acc r ->
-             Interval_index.fold_overlapping rs.granted_idx r ~init:acc ~f:add)
-           [] ranges)
-
-(* ------------------------------------------------------------------ *)
-(* Waiting-queue index maintenance                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* Every queue transition funnels through these three: enqueue
-   ([submit_one], [sync_resource]), unlink on grant ([visit_node]) and
-   the conversion join rewriting a queued waiter's effective mode
-   ([visit_node]).  A crashed resource drops its whole [rstate], index
-   included, so the crash paths need no handling. *)
-let queue_index_update rs ~rank ~lo delta =
-  let m = rs.q_lo.(rank) in
-  let n = (match Int_map.find_opt lo m with Some n -> n | None -> 0) + delta in
-  rs.q_lo.(rank) <- (if n <= 0 then Int_map.remove lo m else Int_map.add lo n m)
-
-let queue_track t rs (w : waiter) delta =
-  (match w.req.ranges with
-  | [] -> ()
-  | ranges ->
-      queue_index_update rs
-        ~rank:(Blocked.mode_rank w.eff_mode)
-        ~lo:(Types.ranges_hull ranges).Interval.lo delta);
-  let c = w.req.client in
-  let n =
-    (match Hashtbl.find_opt rs.waiting_by_client c with
-    | Some n -> n
-    | None -> 0)
-    + delta
-  in
-  if n <= 0 then Hashtbl.remove rs.waiting_by_client c
-  else Hashtbl.replace rs.waiting_by_client c n;
-  (* Server-wide live queue depth: every enqueue/unlink funnels through
-     here, so the counter (and its gauge, the rebalancer's load signal)
-     is exact at all times. *)
+(* Server-wide live queue depth: every enqueue and unlink adjusts it, so
+   the counter (and its gauge, the rebalancer's load signal) is exact at
+   all times. *)
+let queued_add t delta =
   t.queued_total <- t.queued_total + delta;
   Obs.Metrics.set_gauge t.q_gauge (float_of_int t.queued_total)
-
-let queue_enqueue t rs w = queue_track t rs w 1
-let queue_unlink t rs w = queue_track t rs w (-1)
-
-(* Called after [visit_node] writes the conversion join back into
-   [eff_mode]: move the waiter's entry between mode buckets. *)
-let queue_retag rs (w : waiter) ~old_mode =
-  if not (Mode.equal old_mode w.eff_mode) then
-    match w.req.ranges with
-    | [] -> ()
-    | ranges ->
-        let lo = (Types.ranges_hull ranges).Interval.lo in
-        queue_index_update rs ~rank:(Blocked.mode_rank old_mode) ~lo (-1);
-        queue_index_update rs ~rank:(Blocked.mode_rank w.eff_mode) ~lo 1
 
 (* Lock-lifecycle instants on the trace sink (enqueue -> grant -> revoke
    -> ack -> release), attributed to the courier process that triggered
@@ -397,9 +194,7 @@ let obs_emit t sink ev =
       inst "lock.crash" [ ("dropped_waiters", Int t_dropped_waiters) ]
 
 let trace t ev =
-  (match t.tracer with
-  | Some f -> f (Engine.now t.eng) ev
-  | None -> ());
+  List.iter (fun f -> f (Engine.now t.eng) ev) t.tracers;
   let sink = Engine.trace_sink t.eng in
   if Obs.Trace.enabled sink then obs_emit t sink ev
 
@@ -465,31 +260,19 @@ let rstate t rid =
           next_sn = 1;
           granted = Hashtbl.create 16;
           granted_idx = Interval_index.empty;
-          by_client = Hashtbl.create 16;
-          waiting = Dllist.create ();
-          q_lo = Array.make 4 Int_map.empty;
-          waiting_by_client = Hashtbl.create 16;
+          by_client = Sched.Client_tbl.create 16;
+          q = Sched.create ();
           total_grants = 0;
-          next_wseq = 0;
-          frontier = min_int;
-          pending = [];
-          depth = 0;
-          resets = 0;
-          past_cut = None;
         }
       in
       Hashtbl.add t.resources rid rs;
       rs
 
-let lock_conflicts_waiter ~eff_mode ~ranges (g : lock) =
-  Types.ranges_overlap ranges g.ranges
-  && not (Lcm.compatible ~req:eff_mode ~granted:g.mode ~state:g.state)
-
 (* Compute the (possibly expanded) ranges for a grant and whether any
    expansion happened.  Only singleton-range requests expand, only the
    end of the range grows (§II-A), and the expansion stops at the first
    conflicting granted lock or queued request above it. *)
-let expanded_ranges t rs (w : waiter) =
+let expanded_ranges t rs (w : Sched.waiter) =
   match (t.policy.Policy.expansion, w.req.ranges) with
   | Policy.No_expansion, ranges -> (ranges, false)
   | _, ([] | _ :: _ :: _) -> (w.req.ranges, false)
@@ -507,25 +290,9 @@ let expanded_ranges t rs (w : waiter) =
        with
       | Some (hull, _, _) -> consider hull.Interval.lo
       | None -> ());
-      (* Queue contribution via the per-mode index: the smallest queued
-         hull-lo at or above the request's end, over the mode classes
-         that conflict with the waiter — the same bound a full queue
-         scan computes, in at most four ordered-map probes. *)
-      Array.iteri
-        (fun rank m ->
-          if
-            (not (Int_map.is_empty rs.q_lo.(rank)))
-            && (Lcm.request_conflict w.eff_mode m
-               || Lcm.request_conflict m w.eff_mode)
-          then
-            match
-              Int_map.find_first_opt
-                (fun lo -> lo >= iv.Interval.hi)
-                rs.q_lo.(rank)
-            with
-            | Some (lo, _) -> consider lo
-            | None -> ())
-        Blocked.modes;
+      (* Queue contribution: the same bound a full queue scan computes,
+         from the scheduler's per-mode index. *)
+      Option.iter consider (Sched.first_queued_from rs.q w.eff_mode iv.Interval.hi);
       (match t.policy.Policy.expansion with
       | Policy.Capped { max_expand; lock_threshold } ->
           (* Lustre's contention heuristic: once a resource has seen more
@@ -540,7 +307,7 @@ let expanded_ranges t rs (w : waiter) =
       else ([ iv ], false)
 
 let send_revoke t rs ~pos (g : lock) =
-  record rs ~pos g.hull g.client;
+  Sched.record rs.q ~pos g.hull g.client;
   g.revoke_sent <- true;
   t.stats.revokes_sent <- t.stats.revokes_sent + 1;
   trace t (T_revoke { t_rid = rs.rid; t_lock_id = g.id; t_client = g.client });
@@ -551,13 +318,13 @@ let send_revoke t rs ~pos (g : lock) =
       invalid_arg
         (Printf.sprintf "%s: revoke for unregistered client %d" t.name g.client)
 
-let grant_waiter t rs (w : waiter) ~own ~early =
+let grant_waiter t rs (w : Sched.waiter) ~own ~early =
   (* Merge away the holder's own conflicting locks (lock upgrading). *)
   List.iter (fun (o : lock) -> granted_remove rs o) own;
   rs.total_grants <- rs.total_grants + 1;
   let ranges, expanded = expanded_ranges t rs w in
   let ranges =
-    Types.normalize_ranges (List.concat_map (fun o -> o.ranges) own @ ranges)
+    Types.normalize_ranges (List.concat_map (fun (o : lock) -> o.ranges) own @ ranges)
   in
   let mode = w.eff_mode in
   let sn =
@@ -577,15 +344,7 @@ let grant_waiter t rs (w : waiter) ~own ~early =
       end
     end
   in
-  let conflicts_queued =
-    Dllist.exists
-      (fun (w' : waiter) ->
-        w'.req.ranges <> []
-        && Types.ranges_overlap w'.req.ranges ranges
-        && (Lcm.request_conflict w'.eff_mode mode
-           || Lcm.request_conflict mode w'.eff_mode))
-      rs.waiting
-  in
+  let conflicts_queued = Sched.conflicts_queued rs.q mode ranges in
   let early_revoked =
     t.policy.Policy.early_revocation && (not expanded) && conflicts_queued
     && not w.internal
@@ -593,7 +352,7 @@ let grant_waiter t rs (w : waiter) ~own ~early =
   let state = if early_revoked then Lcm.Canceling else Lcm.Granted in
   t.next_lock_id <- t.next_lock_id + 1;
   t.next_seq <- t.next_seq + 1;
-  let lock =
+  let lock : lock =
     {
       id = t.next_lock_id;
       client = w.req.client;
@@ -608,7 +367,7 @@ let grant_waiter t rs (w : waiter) ~own ~early =
   in
   granted_add rs lock;
   (* The new hull covers the merged-away locks' hulls too. *)
-  record rs ~pos:w.wseq lock.hull lock.client;
+  Sched.record rs.q ~pos:w.wseq lock.hull lock.client;
   note_lock t rs.rid lock.id;
   let s = t.stats in
   s.grants <- s.grants + 1;
@@ -652,7 +411,7 @@ let grant_waiter t rs (w : waiter) ~own ~early =
       ranges;
       sn;
       state;
-      replaces = List.map (fun o -> o.id) own;
+      replaces = List.map (fun (o : lock) -> o.id) own;
     }
   in
   trace t (T_grant (g, if early then `Early else `Normal));
@@ -667,291 +426,34 @@ let grant_waiter t rs (w : waiter) ~own ~early =
     if Mode.is_write mode then
       repl_emit t (R_sn { e_rid = rs.rid; e_next_sn = rs.next_sn })
   end;
-  w.reply (Types.Granted g);
-  lock
+  w.reply (Types.Granted g)
 
-(* Visit one queue node against the blocked set accumulated over every
-   earlier waiter ([blocked], [saturated]), advancing both.  Returns true
-   when the waiter was granted (and unlinked).  Besides the accumulator,
-   a visit reads only the grants whose hull overlaps its ranges (its
-   request plus the own locks it merges), once saturated its client's
-   grant count, and its waiter's [eff_mode], which it writes itself (a
-   widening is recorded as a change); it leaves the hull of what it read
-   on the waiter for [pass]. *)
-let visit_node t rs ~blocked ~saturated node =
-  let w = Dllist.value node in
-  if
-    (* Once an earlier waiter blocks the whole offset space, every
-       later waiter is blocked too; if its client also holds no
-       grants on this resource there is nothing to convert, so the
-       visit would change no state at all (the only write a blocked
-       visit performs is the conversion join into [eff_mode], and
-       its [Blocked.add] cannot matter once the set saturates).
-       Skipping it keeps a contended pass O(1) per queued request. *)
-    !saturated
-    && ((not t.policy.Policy.auto_convert)
-       || not (Hashtbl.mem rs.by_client w.req.client))
-  then begin
-    w.read_lo <- 0;
-    w.read_hi <- 0;
-    false
-  end
-  else begin
-    (* Same-client GRANTED conflicts are merged by upgrading when
-       conversion is on (and no revocation is already in flight). *)
-    let own =
-      if t.policy.Policy.auto_convert then
-        hull_overlapping rs w.req.ranges ~keep:(fun (g : lock) ->
-            g.client = w.req.client && g.state = Lcm.Granted
-            && (not g.revoke_sent)
-            && lock_conflicts_waiter ~eff_mode:w.eff_mode
-                 ~ranges:w.req.ranges g)
-      else []
-    in
-    let eff =
-      List.fold_left (fun m (g : lock) -> Mode.join m g.mode) w.eff_mode own
-    in
-    let prev_eff = w.eff_mode in
-    w.eff_mode <- eff;
-    queue_retag rs w ~old_mode:prev_eff;
-    (* Upgrading widens the grant to cover the merged locks' ranges, so
-       conflict checks must run on the union: a PR lock expanded to EOF
-       that upgrades to PW now conflicts where the PR did not. *)
-    let union_ranges =
-      Types.normalize_ranges
-        (w.req.ranges @ List.concat_map (fun (g : lock) -> g.ranges) own)
-    in
-    (match union_ranges with
-    | [] ->
-        w.read_lo <- 0;
-        w.read_hi <- 0
-    | ranges ->
-        let hull = Types.ranges_hull ranges in
-        w.read_lo <- hull.Interval.lo;
-        w.read_hi <- hull.Interval.hi;
-        (* A widened [eff_mode] is a change to this waiter's own input:
-           under the wider mode more of its client's locks conflict, so
-           the next visit may merge more of them and block more.  Naming
-           the client makes the next pass revisit it, as a full pass
-           would; the join only widens, so this settles. *)
-        if not (Mode.equal eff prev_eff) then
-          record rs ~pos:w.wseq hull w.req.client);
-    (* Post-saturation adds are dead: every later blocked check
-       short-circuits on [saturated]. *)
-    let note_blocked () =
-      if not !saturated then begin
-        blocked := Blocked.add !blocked eff union_ranges;
-        if Blocked.saturates eff union_ranges then saturated := true
-      end
-    in
-    if !saturated || Blocked.blocks !blocked eff union_ranges then begin
-      note_blocked ();
-      false
-    end
-    else begin
-      let conflicts =
-        hull_overlapping rs union_ranges ~keep:(fun (g : lock) ->
-            (not (List.exists (fun (o : lock) -> o.id = g.id) own))
-            && lock_conflicts_waiter ~eff_mode:eff ~ranges:union_ranges g)
-      in
-      if List.is_empty conflicts then begin
-        let early =
-          List.exists
-            (fun r ->
-              Interval_index.exists_overlapping rs.granted_idx r
-                (fun _ _ (g : lock) ->
-                  g.state = Lcm.Canceling
-                  && Types.ranges_overlap w.req.ranges g.ranges))
-            w.req.ranges
-        in
-        Dllist.remove rs.waiting node;
-        queue_unlink t rs w;
-        ignore (grant_waiter t rs w ~own ~early);
-        true
-      end
-      else begin
-        List.iter
-          (fun (g : lock) ->
-            if g.state = Lcm.Granted && not g.revoke_sent then
-              send_revoke t rs ~pos:w.wseq g)
-          conflicts;
-        if
-          Option.is_none w.acks_time
-          && List.for_all (fun (g : lock) -> g.state = Lcm.Canceling) conflicts
-        then w.acks_time <- Some (Engine.now t.eng);
-        note_blocked ();
-        false
-      end
-    end
-  end
-
-(* May a change recorded in [changes] alter [w]'s next visit?  Only one
-   made at or after the visit's own position, to a lock the visit read
-   or to its client's grant count. *)
-let affected changes (w : waiter) =
-  List.exists
-    (fun c ->
-      c.ch_pos >= w.wseq
-      && (c.ch_client = w.req.client
-         || (c.ch_hull.Interval.lo < w.read_hi
-            && w.read_lo < c.ch_hull.Interval.hi)))
-    changes
-
-(* One scheduling pass over a resource's FIFO queue.  Returns true if any
-   waiter was granted (a grant can unblock early grants further down, so
-   the caller loops).
-
-   The pass starts at the first waiter that holds no valid snapshot or
-   that a change recorded since the last pass started may affect, with
-   the accumulator its predecessor's visit left behind; from there it
-   walks to the end as a full pass would.  Every waiter it skips would
-   read exactly what its last visit read — the same accumulator (its
-   predecessors are skipped too), the same overlapping grants, the same
-   client grant count, the same [eff_mode] (a visit that widened it
-   recorded a change naming its client) — and so decide the same,
-   changing nothing (DESIGN.md §10).  The walk's own changes are
-   recorded for the next pass: they may affect waiters visited before
-   them. *)
-let pass t rs =
-  if rs.depth > 0 then
-    (* re-entered from a reply hook (sync_resource): the outer walk's
-       accumulator no longer matches the queue *)
-    reset rs;
-  rs.depth <- rs.depth + 1;
-  let resets = rs.resets in
-  let changes = rs.pending in
-  rs.pending <- [];
-  let unstamped node = (Dllist.value node).wseq > rs.frontier in
-  let rec resume prev = function
-    | None -> None
-    | Some node ->
-        let w = Dllist.value node in
-        if unstamped node || affected changes w then Some (prev, node)
-        else resume (Some w) (Dllist.succ node)
-  in
-  (* With no change pending, only the waiters that hold no snapshot can
-     be affected, and those form the tail of the queue.  The first of
-     them is the last cut's [past_cut] if that is still where the
-     stamped prefix ends, or else found from the back — O(1) either way
-     for a lone fresh submit. *)
-  let from node = Some (Option.map Dllist.value (Dllist.pred node), node) in
-  let rec back node =
-    match Dllist.pred node with
-    | Some p when unstamped p -> back p
-    | Some _ | None -> from node
-  in
-  let start =
-    match (changes, rs.past_cut, Dllist.last_node rs.waiting) with
-    | _ :: _, _, _ -> resume None (Dllist.first_node rs.waiting)
-    | [], Some cut, _
-      when Dllist.active cut && unstamped cut
-           && not (Option.fold ~none:false ~some:unstamped (Dllist.pred cut)) ->
-        from cut
-    | [], _, Some last when unstamped last -> back last
-    | [], _, _ -> None
-  in
-  let progress = ref false in
-  (match start with
-  | None -> ()
-  | Some (prev, start) ->
-      let blocked, saturated, last =
-        match prev with
-        | None -> (ref Blocked.empty, ref false, ref min_int)
-        | Some p -> (ref p.after, ref p.after_sat, ref p.wseq)
-      in
-      (* Once the blocked set saturates, the only visits that can still
-         change state are same-client merges, and those need a queued
-         waiter whose client holds a grant.  The check intersects the
-         two per-client count tables and is memoized: a "cut" verdict
-         stops the walk on the spot, so it can never go stale, while a
-         "keep walking" verdict merely falls back to the per-node O(1)
-         skip in [visit_node] — conservative if a later grant empties
-         the intersection mid-walk, never wrong.  Waiters past a cut
-         keep no valid snapshot. *)
-      let may_convert = ref None in
-      let cut () =
-        !saturated
-        &&
-        match !may_convert with
-        | Some b -> not b
-        | None ->
-            let b =
-              t.policy.Policy.auto_convert
-              && (Hashtbl.fold
-                    [@lint.allow
-                      "D001 commutative exists: boolean OR of membership \
-                       tests, iteration order invisible"])
-                   (fun c _ acc -> acc || Hashtbl.mem rs.waiting_by_client c)
-                   rs.by_client false
-            in
-            may_convert := Some b;
-            not b
-      in
-      (* Walk the queue in place; granted waiters are unlinked
-         immediately so later decisions in the same pass see a fresh
-         queue.  A reply hook may re-enter [process] (internal sync
-         requests) and remove nodes ahead of the walk — a removed node
-         keeps its forward link ([Dllist.succ]) and [Dllist.active]
-         skips it in O(1), so no per-pass node-list snapshot is needed
-         (that allocation was measurable under the 512-client convoy,
-         DESIGN.md §13). *)
-      let rec go = function
-        | None -> rs.past_cut <- None
-        | Some node ->
-            if Dllist.active node then begin
-              let w = Dllist.value node in
-              if visit_node t rs ~blocked ~saturated node then progress := true
-              else begin
-                w.after <- !blocked;
-                w.after_sat <- !saturated
-              end;
-              last := w.wseq
-            end;
-            if cut () then rs.past_cut <- Dllist.succ node
-            else go (Dllist.succ node)
-      in
-      if cut () then rs.past_cut <- Some start else go (Some start);
-      rs.frontier <- !last);
-  rs.depth <- rs.depth - 1;
-  if rs.resets <> resets then reset rs;
-  !progress
-
-(* [pass] repeats only while grants happen; a repeat resumes at the
-   first waiter the grants may affect, usually walking nothing. *)
-let rec process t rs =
-  if pass t rs && not (Dllist.is_empty rs.waiting) then process t rs
+let process t rs =
+  Sched.process rs.q
+    {
+      Sched.convert = t.policy.Policy.auto_convert;
+      granted = (fun () -> rs.granted_idx);
+      by_client = rs.by_client;
+      now = (fun () -> Engine.now t.eng);
+      grant =
+        (fun w ~own ~early ->
+          queued_add t (-1);
+          grant_waiter t rs w ~own ~early);
+      revoke = (fun w g -> send_revoke t rs ~pos:w.wseq g);
+    }
 
 let enqueue t rs (req : Types.request) ~reply ~internal =
-  let w =
-    {
-      req;
-      reply;
-      eff_mode = req.mode;
-      enq_time = Engine.now t.eng;
-      acks_time = None;
-      internal;
-      wseq = rs.next_wseq;
-      after = Blocked.empty;
-      after_sat = false;
-      read_lo = 0;
-      read_hi = 0;
-    }
-  in
-  rs.next_wseq <- rs.next_wseq + 1;
-  ignore (Dllist.push_back rs.waiting w);
-  queue_enqueue t rs w;
+  Sched.enqueue rs.q req ~reply ~internal ~now:(Engine.now t.eng);
+  queued_add t 1;
   note_queued t req.rid
 
 let submit_one t (req : Types.request) ~reply =
   trace t (T_request req);
   let rs = rstate t req.rid in
   enqueue t rs req ~reply ~internal:false;
-  let q = Dllist.length rs.waiting in
+  let q = Sched.length rs.q in
   if q > t.stats.max_queue then t.stats.max_queue <- q;
   Obs.Metrics.observe t.q_depth (float_of_int q);
-  (* A fresh waiter holds no snapshot, so unless an earlier change is
-     still pending the pass decides it alone, against its predecessor's
-     accumulator. *)
   process t rs
 
 (* Ownership gate of the sharded namespace (DESIGN.md §15).  A request
@@ -972,16 +474,6 @@ let handle_request t (req : Types.request) ~reply =
   admit_one t req ~reply;
   validate t
 
-(* Vectorized entry for the transport's batch handler: decide a request
-   vector in arrival order.  Equivalent to N sequential [submit]s by
-   construction — each element runs the same enqueue + visit path — with
-   the queue-scan cost amortized: under contention every element after
-   the first hits the quiescent fast path refreshed by its predecessor.
-   One sanitizer sweep at the end: the batch is one external event. *)
-let handle_batch t reqs =
-  List.iter (fun (req, reply) -> admit_one t req ~reply) reqs;
-  validate t
-
 (* Direct in-process entry (tests, benchmarks, the colocated data
    server): no shard gate, replies are plain grants. *)
 let grant_only t (req : Types.request) reply : Types.lock_reply -> unit =
@@ -991,12 +483,6 @@ let grant_only t (req : Types.request) reply : Types.lock_reply -> unit =
       invalid_arg
         (Printf.sprintf "%s: direct submit bounced (rid %d, map epoch %d)"
            t.name req.Types.rid epoch)
-
-let submit_batch t reqs =
-  List.iter
-    (fun (req, reply) -> submit_one t req ~reply:(grant_only t req reply))
-    reqs;
-  validate t
 
 let ctl_rid : Types.ctl_msg -> Types.resource_id = function
   | Types.Revoke_ack { rid; _ }
@@ -1018,41 +504,43 @@ let handle_ctl t (msg : Types.ctl_msg) ~reply =
       | Some _ | None -> ());
       reply ()
   | _ ->
+  (* A control message changes one lock: record the change, apply it and
+     run the queue. *)
+  let change rid lock_id ok f =
+    let rs = rstate t rid in
+    match find_lock rs lock_id with
+    | Some g when ok g ->
+        Sched.record rs.q ~pos:max_int g.hull g.client;
+        f rs g;
+        process t rs
+    | Some _ | None -> ()
+  in
   (match msg with
-  | Types.Revoke_ack { rid; lock_id } -> (
+  | Types.Revoke_ack { rid; lock_id } ->
       trace t (T_ack { t_rid = rid; t_lock_id = lock_id });
-      let rs = rstate t rid in
-      match find_lock rs lock_id with
-      | Some g when g.state = Lcm.Granted ->
-          record rs ~pos:max_int g.hull g.client;
+      change rid lock_id
+        (fun g -> g.state = Lcm.Granted)
+        (fun _ g ->
           g.state <- Lcm.Canceling;
           note_lock t rid lock_id;
-          repl_lock t rid g;
-          process t rs
-      | Some _ | None -> ())
-  | Types.Downgrade { rid; lock_id; mode } -> (
+          repl_lock t rid g)
+  | Types.Downgrade { rid; lock_id; mode } ->
       trace t (T_downgrade { t_rid = rid; t_lock_id = lock_id; t_mode = mode });
-      let rs = rstate t rid in
-      match find_lock rs lock_id with
-      | Some g ->
-          record rs ~pos:max_int g.hull g.client;
+      change rid lock_id
+        (fun _ -> true)
+        (fun _ g ->
           g.mode <- mode;
           note_lock t rid lock_id;
           t.stats.downgrades <- t.stats.downgrades + 1;
-          repl_lock t rid g;
-          process t rs
-      | None -> ())
+          repl_lock t rid g)
   | Types.Release { rid; lock_id } ->
       trace t (T_release { t_rid = rid; t_lock_id = lock_id });
-      let rs = rstate t rid in
-      (match find_lock rs lock_id with
-      | Some g ->
-          record rs ~pos:max_int g.hull g.client;
+      change rid lock_id
+        (fun _ -> true)
+        (fun rs g ->
           granted_remove rs g;
           t.stats.releases <- t.stats.releases + 1;
-          repl_emit t (R_drop { e_rid = rid; e_lock_id = lock_id });
-          process t rs
-      | None -> ()));
+          repl_emit t (R_drop { e_rid = rid; e_lock_id = lock_id })));
   validate t;
   reply ()
 
@@ -1073,7 +561,7 @@ let create eng params ~node ~name ~policy =
       stats = fresh_stats ();
       lock_ep = None;
       ctl_ep = None;
-      tracer = None;
+      tracers = [];
       validator = None;
       repl = None;
       q_depth =
@@ -1097,11 +585,6 @@ let create eng params ~node ~name ~policy =
     Some
       (Rpc.endpoint eng params ~node ~name:(name ^ ".lock")
          ~handler:(fun req ~reply -> handle_request t req ~reply));
-  (* With transport batching on, a flushed request batch is decided by
-     the vectorized entry instead of n separate handler invocations. *)
-  (match t.lock_ep with
-  | Some ep -> Rpc.set_batch_handler ep (fun reqs -> handle_batch t reqs)
-  | None -> ());
   t.ctl_ep <-
     Some
       (Rpc.endpoint eng params ~node ~name:(name ^ ".ctl")
@@ -1145,7 +628,7 @@ let sync_resource t rid ~on_behalf ~reply =
            every conflicting write lock has been released.  Drop it. *)
         (match find_lock rs g.lock_id with
         | Some l ->
-            reset rs;
+            Sched.reset rs.q;
             granted_remove rs l;
             repl_emit t (R_drop { e_rid = rid; e_lock_id = l.id })
         | None -> ());
@@ -1162,17 +645,16 @@ let sorted_resources t = Det_tbl.bindings_sorted ~cmp:Int.compare t.resources
 let crash t =
   List.iter
     (fun (rid, rs) ->
-      if not (Dllist.is_empty rs.waiting) then
+      if Sched.length rs.q > 0 then
         invalid_arg
           (Printf.sprintf "%s: crash with %d queued requests on resource %d"
-             t.name (Dllist.length rs.waiting) rid))
+             t.name (Sched.length rs.q) rid))
     (sorted_resources t);
   if Hashtbl.length t.frozen > 0 then
     invalid_arg (t.name ^ ": crash during a resource migration");
   note_sweep t;
   Hashtbl.reset t.resources;
-  t.queued_total <- 0;
-  Obs.Metrics.set_gauge t.q_gauge 0.
+  queued_add t (- t.queued_total)
 
 let crash_online t =
   (* Unlike [crash], queued waiters are allowed — and lost with the rest
@@ -1182,7 +664,7 @@ let crash_online t =
      migration intake is lost the same way. *)
   let dropped =
     List.fold_left
-      (fun acc (_, rs) -> acc + Dllist.length rs.waiting)
+      (fun acc (_, rs) -> acc + Sched.length rs.q)
       0 (sorted_resources t)
     + Det_tbl.fold_sorted ~cmp:Int.compare
         (fun _ parked acc -> acc + List.length !parked)
@@ -1191,8 +673,7 @@ let crash_online t =
   note_sweep t;
   Hashtbl.reset t.resources;
   Hashtbl.reset t.frozen;
-  t.queued_total <- 0;
-  Obs.Metrics.set_gauge t.q_gauge 0.;
+  queued_add t (- t.queued_total);
   trace t (T_crash { t_dropped_waiters = dropped });
   dropped
 
@@ -1200,9 +681,9 @@ let reinstall t ~client ~locks =
   List.iter
     (fun (rid, lock_id, mode, ranges, sn, state) ->
       let rs = rstate t rid in
-      reset rs;
+      Sched.reset rs.q;
       t.next_seq <- t.next_seq + 1;
-      let lock =
+      let lock : lock =
         {
           id = lock_id;
           client;
@@ -1275,10 +756,13 @@ let cancel_freeze t rid =
 
 let is_frozen t rid = Hashtbl.mem t.frozen rid
 
+let has_internal rs =
+  List.exists (fun (w : Sched.waiter) -> w.internal) (Sched.to_list rs.q)
+
 let can_migrate t rid =
   match Hashtbl.find_opt t.resources rid with
   | None -> true
-  | Some rs -> not (Dllist.exists (fun (w : waiter) -> w.internal) rs.waiting)
+  | Some rs -> not (has_internal rs)
 
 let migrate_out t rid ~epoch =
   let parked =
@@ -1287,7 +771,7 @@ let migrate_out t rid ~epoch =
     | None -> invalid_arg (t.name ^ ": migrate_out without freeze")
   in
   match Hashtbl.find_opt t.resources rid with
-  | Some rs when Dllist.exists (fun (w : waiter) -> w.internal) rs.waiting ->
+  | Some rs when has_internal rs ->
       (* A colocated force-sync holds an internal pseudo-request whose
          reply closure closes over this server's state — it cannot move.
          Abort; the caller cancels the freeze and retries later. *)
@@ -1307,18 +791,10 @@ let migrate_out t rid ~epoch =
                post-migration epoch: each client refreshes its map and
                resubmits at the new owner (FIFO order across a migration
                is intentionally relaxed, as it is across a failover). *)
-            let rec drain () =
-              match Dllist.first_node rs.waiting with
-              | None -> ()
-              | Some node ->
-                  let w = Dllist.value node in
-                  Dllist.remove rs.waiting node;
-                  queue_unlink t rs w;
-                  incr bounced;
-                  bounce w.reply;
-                  drain ()
-            in
-            drain ();
+            let waiters = Sched.to_list rs.q in
+            bounced := List.length waiters;
+            queued_add t (- !bounced);
+            List.iter (fun (w : Sched.waiter) -> bounce w.reply) waiters;
             let locks =
               granted_fold (fun g acc -> g :: acc) rs []
               |> List.sort (fun (a : lock) b -> Int.compare a.id b.id)
@@ -1363,7 +839,7 @@ let total_queued t = t.queued_total
 let hottest_resource t =
   List.fold_left
     (fun acc (rid, rs) ->
-      let q = Dllist.length rs.waiting in
+      let q = Sched.length rs.q in
       match acc with
       | Some (_, best) when best >= q -> acc
       | _ -> if q > 0 then Some (rid, q) else acc)
@@ -1410,45 +886,28 @@ let granted_overlapping t rid ranges =
   match Hashtbl.find_opt t.resources rid with
   | None -> []
   | Some rs ->
-      hull_overlapping rs ranges ~keep:(fun (g : lock) ->
+      Sched.overlapping rs.granted_idx ranges ~keep:(fun (g : lock) ->
           Types.ranges_overlap ranges g.ranges)
       |> List.map view_of_lock |> List.sort by_lock_id
 
-type waiter_view = {
-  q_client : Types.client_id;
-  q_mode : Mode.t;
-  q_eff_mode : Mode.t;
-  q_ranges : Interval.t list;
-  q_enq_time : float;
-  q_internal : bool;
-}
-
-let view_of_waiter (w : waiter) =
-  {
-    q_client = w.req.client;
-    q_mode = w.req.mode;
-    q_eff_mode = w.eff_mode;
-    q_ranges = w.req.ranges;
-    q_enq_time = w.enq_time;
-    q_internal = w.internal;
-  }
+type waiter_view = Sched.waiter
 
 let waiting_view t rid =
   match Hashtbl.find_opt t.resources rid with
   | None -> []
-  | Some rs -> List.map view_of_waiter (Dllist.to_list rs.waiting)
+  | Some rs -> Sched.to_list rs.q
 
 let waiting_tail t rid n =
   match Hashtbl.find_opt t.resources rid with
   | None -> []
-  | Some rs -> List.map view_of_waiter (Dllist.last_values rs.waiting n)
+  | Some rs -> Sched.last_values rs.q n
 
 let resource_ids t = Det_tbl.sorted_keys ~cmp:Int.compare t.resources
 
 let queue_length t rid =
   match Hashtbl.find_opt t.resources rid with
   | None -> 0
-  | Some rs -> Dllist.length rs.waiting
+  | Some rs -> Sched.length rs.q
 
 (* A read must not create state: an unknown resource reports the value a
    fresh one would start from. *)
@@ -1460,17 +919,8 @@ let stats t = t.stats
 let policy t = t.policy
 let node t = t.node
 let name t = t.name
-let set_tracer t f = t.tracer <- Some f
 
-let add_tracer t f =
-  match t.tracer with
-  | None -> t.tracer <- Some f
-  | Some g ->
-      t.tracer <-
-        Some
-          (fun now ev ->
-            g now ev;
-            f now ev)
+let add_tracer t f = t.tracers <- t.tracers @ [ f ]
 
 (* Nothing was recorded before the attach, so the first delta says
    "sweep everything". *)
@@ -1529,7 +979,7 @@ let pp_trace_event ppf = function
 let check_invariants t =
   List.iter
     (fun (_, rs) ->
-      Dllist.check_invariants rs.waiting;
+      Sched.check_invariants rs.q;
       Interval_index.check_invariants rs.granted_idx;
       (* The hash table and the interval index must agree entry for
          entry, each index entry keyed by the lock's current hull. *)
@@ -1541,36 +991,6 @@ let check_invariants t =
           | None -> assert false);
           assert (Interval.equal hull g.hull))
         rs.granted_idx;
-      (* The waiting-queue indexes must be exactly a recomputation from
-         the live queue: per-mode hull-lo multisets and the per-client
-         waiter counts. *)
-      let q_lo' = Array.make 4 Int_map.empty in
-      let wbc' = Hashtbl.create 16 in
-      Dllist.iter
-        (fun (w : waiter) ->
-          (match w.req.ranges with
-          | [] -> ()
-          | ranges ->
-              let rank = Blocked.mode_rank w.eff_mode in
-              let lo = (Types.ranges_hull ranges).Interval.lo in
-              q_lo'.(rank) <-
-                Int_map.update lo
-                  (function None -> Some 1 | Some n -> Some (n + 1))
-                  q_lo'.(rank));
-          let c = w.req.client in
-          let n = match Hashtbl.find_opt wbc' c with Some n -> n | None -> 0 in
-          Hashtbl.replace wbc' c (n + 1))
-        rs.waiting;
-      Array.iteri
-        (fun rank m -> assert (Int_map.equal Int.equal m q_lo'.(rank)))
-        rs.q_lo;
-      assert (Hashtbl.length rs.waiting_by_client = Hashtbl.length wbc');
-      (Hashtbl.iter
-         [@lint.allow
-           "D001 invariant sweep: per-entry asserts only, no \
-            order-visible output"])
-        (fun c n -> assert (Hashtbl.find_opt rs.waiting_by_client c = Some n))
-        wbc';
       let granted = granted_fold (fun g acc -> g :: acc) rs [] in
       (* Write-lock SNs unique per resource. *)
       let sns =
@@ -1584,7 +1004,7 @@ let check_invariants t =
          direction given their states. *)
       let rec pairs = function
         | [] -> ()
-        | g :: rest ->
+        | (g : lock) :: rest ->
             List.iter
               (fun (h : lock) ->
                 if Types.ranges_overlap g.ranges h.ranges then
@@ -1600,7 +1020,7 @@ let check_invariants t =
      must equal a recomputation from the per-resource queues. *)
   let queued =
     List.fold_left
-      (fun acc (_, rs) -> acc + Dllist.length rs.waiting)
+      (fun acc (_, rs) -> acc + Sched.length rs.q)
       0 (sorted_resources t)
   in
   assert (queued = t.queued_total)

@@ -20,7 +20,11 @@
     grant).  Downgrading is client-initiated via the control endpoint.
 
     All handlers are non-blocking: deferred grants hold the RPC [reply]
-    and fire it from a later queue pass. *)
+    and fire it from a later queue pass.  Each resource's queue and the
+    decision for one waiter live in {!Sched}; this module keeps the
+    granted set and applies the scheduler's decisions.  A transport batch
+    is served one request at a time, each through the lock endpoint's
+    handler. *)
 
 type t
 
@@ -73,16 +77,6 @@ val submit : t -> Types.request -> on_grant:(Types.grant -> unit) -> unit
 val control : t -> Types.ctl_msg -> unit
 (** Apply a revoke-ack, downgrade or release. *)
 
-val submit_batch :
-  t -> (Types.request * (Types.grant -> unit)) list -> unit
-(** Vectorized {!submit}: decide a request vector in list order with the
-    queue-scan cost amortized over the batch (each element's pass resumes
-    at the first waiter a change since the previous pass can affect —
-    usually the element itself, DESIGN.md §10).
-    Semantically equivalent to N sequential {!submit}s — grants, SNs,
-    queue order and stats are identical; the differential suite pins
-    this.  Installed as the lock endpoint's transport batch handler. *)
-
 val min_unreleased_write_sn :
   t -> Types.resource_id -> Ccpfs_util.Interval.t -> int option
 (** Minimum SN among unreleased write locks overlapping the range, or
@@ -114,11 +108,10 @@ type trace_event =
       (** [crash_online]: the volatile lock table (and any queued
           waiters) was just lost *)
 
-val set_tracer : t -> (float -> trace_event -> unit) -> unit
 val pp_trace_event : Format.formatter -> trace_event -> unit
 
 val add_tracer : t -> (float -> trace_event -> unit) -> unit
-(** Chain another tracer after whatever is already installed — the
+(** Install a tracer, chained after whatever is already installed — the
     sanitizer monitors the protocol this way without stealing the trace
     slot from the CLI's [trace] command. *)
 
@@ -324,14 +317,10 @@ val granted_overlapping :
 (** The granted locks whose ranges overlap [ranges], sorted by lock id —
     found through the grant interval index, not a scan. *)
 
-type waiter_view = {
-  q_client : Types.client_id;
-  q_mode : Mode.t;  (** as requested *)
-  q_eff_mode : Mode.t;  (** after conversion joins *)
-  q_ranges : Ccpfs_util.Interval.t list;
-  q_enq_time : float;
-  q_internal : bool;  (** sync_resource pseudo-request *)
-}
+type waiter_view = Sched.waiter
+(** A queued waiter, read-only: its request, its effective mode after
+    conversion joins, its enqueue time and whether it is a sync_resource
+    pseudo-request. *)
 
 val waiting_view : t -> Types.resource_id -> waiter_view list
 (** The resource's FIFO queue, head first. *)
@@ -355,4 +344,5 @@ val name : t -> string
 
 val check_invariants : t -> unit
 (** Asserts that no two granted locks are mutually incompatible while both
-    GRANTED, and that write-lock SNs are unique per resource. *)
+    GRANTED, that write-lock SNs are unique per resource, and that each
+    queue's scheduler bookkeeping holds ({!Sched.check_invariants}). *)

@@ -472,6 +472,8 @@ let catch ?inject case =
       (* Debug escape hatch: let the raw exception (and with
          OCAMLRUNPARAM=b its backtrace) propagate instead of being
          folded into a failure report. *)
-      if Sys.getenv_opt "CCPFS_FUZZ_RERAISE" <> None then
+      if Knob.env "CCPFS_FUZZ_RERAISE" (function "" -> None | _ -> Some true)
+           ~default:false
+      then
         Printexc.raise_with_backtrace e (Printexc.get_raw_backtrace ());
       Error (describe_exn e)

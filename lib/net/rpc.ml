@@ -83,7 +83,6 @@ type ('req, 'resp) endpoint = {
   mutable fault : fault option; (* loss/duplication, fenced traffic only *)
   retry_counter : Obs.Metrics.counter;
   mutable batch : ('req, 'resp) batch option;
-  mutable batch_handler : (('req * ('resp -> unit)) list -> unit) option;
 }
 
 (* A client's knowledge of server epochs, its request-id allocator, its
@@ -132,8 +131,7 @@ let endpoint eng params ~node ~name ~handler =
   { eng; params; node; name; handler; count = 0; latency; epoch = 0;
     down = false; incarnation = 0; dedup = Hashtbl.create 64;
     dedup_order = Queue.create (); dedup_seq = 0;
-    dedup_cap = default_dedup_cap; fault = None; retry_counter; batch = None;
-    batch_handler = None }
+    dedup_cap = default_dedup_cap; fault = None; retry_counter; batch = None }
 
 let calls t = t.count
 let name t = t.name
@@ -299,8 +297,7 @@ let courier t ~proc ~kind ~bytes ~stamp ~n serve =
 (* Deliver a flushed batch: one courier pays propagation once, the NIC
    pipe for the summed payload, and a single RPC-processor operation
    amortized over the whole batch (the Eq. 1 term-① win batching buys).
-   Messages are then served strictly in enqueue order — through the
-   vectorized batch handler when one is installed, else one dispatch per
+   Messages are then served strictly in enqueue order, one dispatch per
    message. *)
 let flush_batch t b cause =
   match List.rev b.b_items with
@@ -320,9 +317,7 @@ let flush_batch t b cause =
                   ("n", Obs.Json.Int n); ("bytes", Obs.Json.Int bytes);
                   ("cause", Obs.Json.Str cause) ]
               "rpc.batch.flush";
-          match t.batch_handler with
-          | Some bh -> bh (List.map (fun m -> (m.m_req, m.m_reply)) items)
-          | None -> List.iter (dispatch t) items)
+          List.iter (dispatch t) items)
 
 (* Queue a message on the batch; flush immediately on reaching b_max,
    else make sure a delay-timer flush is armed.  The timer event keeps
@@ -355,8 +350,6 @@ let clear_batching t =
   | Some b ->
       flush_batch t b "reconfig";
       t.batch <- None
-
-let set_batch_handler t bh = t.batch_handler <- Some bh
 
 (* The one way onto the wire.  A stamped message draws its fate from the
    fault plane (lost, delivered, or delivered twice) and never batches;

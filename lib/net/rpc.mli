@@ -58,7 +58,8 @@ val calls : ('req, 'resp) endpoint -> int
     after the queue first went non-empty.  The batch courier pays half an
     RTT, NIC occupancy for the summed payload, and — the point of the
     exercise — a single RPC-processor operation for the whole batch.
-    Messages are delivered strictly in enqueue order.  Only unstamped
+    Messages are delivered strictly in enqueue order, each through the
+    endpoint's handler as if it had arrived alone.  Only unstamped
     messages enter the batch queue: a stamped message's loss, dup and
     fencing model is per message. *)
 
@@ -71,14 +72,6 @@ val set_batching :
 
 val clear_batching : ('req, 'resp) endpoint -> unit
 (** Disable batching, flushing anything pending. *)
-
-val set_batch_handler :
-  ('req, 'resp) endpoint -> (('req * ('resp -> unit)) list -> unit) -> unit
-(** Vectorized service entry: when installed, a flushed batch is handed
-    to this function as one request vector (in enqueue order) instead of
-    invoking the per-message handler n times.  The lock server uses this
-    to amortize queue scans over the batch
-    ({!Seqdlm.Lock_server.submit_batch}). *)
 
 val name : ('req, 'resp) endpoint -> string
 (** The service name the endpoint registered under (diagnostics). *)

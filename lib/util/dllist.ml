@@ -46,7 +46,6 @@ let remove t n =
 
 let first_node t = t.first
 let succ n = n.next
-let last_node t = t.last
 let pred n = n.prev
 
 let last_values t n =
@@ -83,13 +82,6 @@ let exists p t =
   go t.first
 
 let to_list t = List.rev (fold (fun acc v -> v :: acc) t [])
-
-let nodes t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n :: acc) n.next
-  in
-  go [] t.first
 
 let check_invariants t =
   let rec go count prev = function

@@ -3,7 +3,7 @@
     queue.  [push_back] returns the node; holding it allows removal from
     the middle of the queue without scanning (a waiter granted out of
     FIFO position by range parallelism).  A removed node stays
-    identifiable via {!active}, so iteration snapshots can skip entries
+    identifiable via {!active}, so an in-place walk can skip entries
     removed by re-entrant mutation. *)
 
 type 'a t
@@ -33,9 +33,6 @@ val succ : 'a node -> 'a node option
     still leads back into the live chain.  Check {!active} before using
     a node reached this way. *)
 
-val last_node : 'a t -> 'a node option
-(** The tail node, if any; O(1). *)
-
 val pred : 'a node -> 'a node option
 (** The node before a live node; [None] for the head and for a removed
     node. *)
@@ -49,9 +46,5 @@ val iter : ('a -> unit) -> 'a t -> unit
 val fold : ('b -> 'a -> 'b) -> 'a t -> 'b -> 'b
 val exists : ('a -> bool) -> 'a t -> bool
 val to_list : 'a t -> 'a list
-
-val nodes : 'a t -> 'a node list
-(** Snapshot of the current nodes, head first — iterate and test
-    {!active} per node when the loop body may mutate the list. *)
 
 val check_invariants : 'a t -> unit

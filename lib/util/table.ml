@@ -76,7 +76,10 @@ let slug title =
 let print t =
   print_string (render t);
   print_newline ();
-  match Sys.getenv_opt "CCPFS_TABLE_CSV" with
+  match
+    Knob.env "CCPFS_TABLE_CSV" (function "" -> None | d -> Some (Some d))
+      ~default:None
+  with
   | Some dir when Sys.file_exists dir && Sys.is_directory dir ->
       let path = Filename.concat dir (slug t.title ^ ".csv") in
       let oc = open_out path in

@@ -784,7 +784,7 @@ let prop_grant_contract =
          resource, the mode only ever upgrades, and CANCELING grants
          appear only when early revocation is on. *)
       let write_sns = Hashtbl.create 64 in
-      Lock_server.set_tracer w.server (fun _now ev ->
+      Lock_server.add_tracer w.server (fun _now ev ->
           match ev with
           | Lock_server.T_grant (g, _) ->
               if Mode.is_write g.Types.mode then begin
@@ -875,7 +875,6 @@ let prop_lcm_table2_symmetry =
    driver handles both modules. *)
 type side = {
   s_submit : Types.request -> unit;
-  s_submit_batch : (Types.request * (Types.grant -> unit)) list -> unit;
   s_control : Types.ctl_msg -> unit;
   s_sync : client:int -> rid:int -> unit;
   (* newest first *)
@@ -922,7 +921,6 @@ let indexed_side eng ~policy ~clients =
     ref
       {
         s_submit = (fun _ -> ());
-        s_submit_batch = Lock_server.submit_batch s;
         s_control = Lock_server.control s;
         s_sync = (fun ~client:_ ~rid:_ -> ());
         s_grants = ref [];
@@ -946,7 +944,7 @@ let indexed_side eng ~policy ~clients =
           (fun rid ->
             List.map
               (fun (w : Lock_server.waiter_view) ->
-                (w.q_client, w.q_mode, w.q_eff_mode, flat_ranges w.q_ranges))
+                (w.req.client, w.req.mode, w.eff_mode, flat_ranges w.req.ranges))
               (Lock_server.waiting_view s rid));
         s_stats =
           (fun () ->
@@ -962,7 +960,7 @@ let indexed_side eng ~policy ~clients =
               st.max_queue ));
       }
   in
-  Lock_server.set_tracer s (fun _ ev ->
+  Lock_server.add_tracer s (fun _ ev ->
       match ev with
       | Lock_server.T_grant (g, early) ->
           observe_grant !side g ~early:(early = `Early)
@@ -988,14 +986,6 @@ let reference_side eng ~policy ~clients =
     ref
       {
         s_submit = (fun _ -> ());
-        (* The reference has no vectorized path: a batch is, by
-           definition, N sequential submits. *)
-        s_submit_batch =
-          (fun reqs ->
-            List.iter
-              (fun (req, reply) ->
-                Ref_lock_server.submit s req ~on_grant:reply)
-              reqs);
         s_control = Ref_lock_server.control s;
         s_sync = (fun ~client:_ ~rid:_ -> ());
         s_grants = ref [];
@@ -1075,11 +1065,10 @@ let apply_op side op =
   | `Req (client, rid, mode, ranges) ->
       side.s_submit { Types.client; rid; mode; ranges }
   | `Batch reqs ->
-      side.s_submit_batch
-        (List.map
-           (fun (client, rid, mode, ranges) ->
-             ({ Types.client; rid; mode; ranges }, fun _ -> ()))
-           reqs)
+      List.iter
+        (fun (client, rid, mode, ranges) ->
+          side.s_submit { Types.client; rid; mode; ranges })
+        reqs
   | `Ack k -> (
       match !(side.s_revokes) with
       | [] -> ()
@@ -1225,36 +1214,7 @@ let prop_indexed_matches_reference =
            (list_size (int_range 1 40) gen_model_op)))
     run_model_script
 
-let prop_batched_matches_sequential =
-  let open QCheck in
-  (* Pins [Lock_server.submit_batch] ≡ N sequential [submit]s: in these
-     scripts request vectors of 1–8 arrive through the batch entry point
-     on the indexed server, while the list reference (which has no
-     vectorized path) plays the same vector as sequential submits.
-     [sides_agree] then demands identical grants, SNs, queue order and
-     stats counters after every step — interleaved with the usual acks,
-     releases, downgrades and syncs so batches also land mid-protocol. *)
-  let gen_op =
-    Gen.(
-      frequency
-        [
-          (4, gen_model_op);
-          ( 4,
-            map
-              (fun reqs -> `Batch reqs)
-              (list_size (int_range 1 8) gen_model_req) );
-        ])
-  in
-  Test.make ~name:"submit_batch == N sequential submits (vs reference)"
-    ~count:300
-    (make ~print:print_model_script
-       Gen.(
-         pair
-           (int_bound (List.length model_policies - 1))
-           (list_size (int_range 1 30) gen_op)))
-    run_model_script
-
-(* The two properties above keep queues shallow (3 clients, at most 40
+(* The property above keeps queues shallow (3 clients, at most 40
    ops), so a pass rarely resumes mid-queue.  This one drives one
    resource from 8-16 clients for up to 150 ops, heavy on acks and
    releases, and plays every script under every model policy: queues
@@ -1364,6 +1324,114 @@ let test_conversion_join_revisits_waiter () =
     "only Y's lock revoked" [ (0, 4, y) ] !(idx.s_revokes);
   Alcotest.(check int) "X, A and V queued" 3 (idx.s_q_len 0)
 
+(* The visit's contract (DESIGN.md §10): it reads the granted set only
+   through the queries behind the hull it reports.  So adding, removing
+   or changing locks of other clients whose hull misses that hull never
+   changes the decision, the new accumulator, the effective mode or the
+   hull.  Three clients, a few range endpoints, every mode, both lock
+   states and the revoke-sent flag; the accumulator may saturate. *)
+let visit_points = [| 0; 10; 20; 30; 40; Interval.eof |]
+
+let gen_visit_ranges =
+  let one =
+    QCheck.Gen.(
+      int_bound 4 >>= fun i ->
+      map (fun j -> iv visit_points.(i) visit_points.(j)) (int_range (i + 1) 5))
+  in
+  QCheck.Gen.(
+    frequency
+      [ (3, map (fun r -> [ r ]) one);
+        (1, map2 (fun a b -> Types.normalize_ranges [ a; b ]) one one) ])
+
+let gen_visit_lock id =
+  QCheck.Gen.(
+    map3
+      (fun (client, mode) ranges (state, revoke_sent) ->
+        { Sched.id; client; mode; ranges; hull = Types.ranges_hull ranges;
+          sn = id; state; revoke_sent; seq = id })
+      (pair (int_bound 2) (oneofl all_modes))
+      gen_visit_ranges
+      (pair (oneofl [ Lcm.Granted; Lcm.Canceling ]) bool))
+
+let gen_visit_case =
+  QCheck.Gen.(
+    let locks n base = flatten_l (List.init n (fun i -> gen_visit_lock (base + i))) in
+    int_bound 8 >>= fun n ->
+    quad
+      (triple bool (pair (int_bound 2) (oneofl all_modes)) gen_visit_ranges)
+      (list_size (int_bound 3) (pair (oneofl all_modes) gen_visit_ranges))
+      (pair (locks n 0) (int_bound 4 >>= fun k -> locks k 100))
+      (list_repeat n (pair (int_bound 2) (gen_visit_lock 0))))
+
+let print_visit_case ((convert, (client, eff), ranges), acc, (locks, extra), _) =
+  let rs l =
+    String.concat ","
+      (List.map (fun (i : Interval.t) -> Printf.sprintf "[%d,%d)" i.lo i.hi) l)
+  in
+  let lk (g : Sched.lock) =
+    Printf.sprintf "#%d c%d %s %s %s%s" g.id g.client (Mode.to_string g.mode)
+      (rs g.ranges) (Lcm.state_to_string g.state)
+      (if g.revoke_sent then " revoked" else "")
+  in
+  Printf.sprintf "convert=%b c%d %s %s\nacc: %s\nlocks: %s\nextra: %s" convert
+    client (Mode.to_string eff) (rs ranges)
+    (String.concat "; "
+       (List.map (fun (m, r) -> Mode.to_string m ^ " " ^ rs r) acc))
+    (String.concat "; " (List.map lk locks))
+    (String.concat "; " (List.map lk extra))
+
+let prop_visit_reads_only_its_hull =
+  QCheck.Test.make ~name:"visit decides alike without locks outside its read hull"
+    ~count:2000
+    (QCheck.make ~print:print_visit_case gen_visit_case)
+    (fun ((convert, (client, eff), ranges), acc, (locks, extra), edits) ->
+      let req = { Types.client; rid = 0; mode = eff; ranges } in
+      let acc =
+        List.fold_left (fun a (m, r) -> Sched.Blocked.add a m r) Sched.Blocked.empty acc
+      in
+      let grants =
+        List.length (List.filter (fun (g : Sched.lock) -> g.client = client) locks)
+      in
+      let run locks =
+        Sched.visit ~convert req acc
+          (List.fold_left
+             (fun idx (g : Sched.lock) -> Interval_index.add idx g.hull ~id:g.id g)
+             Interval_index.empty locks)
+          ~grants eff
+      in
+      let o = run locks in
+      let outside (g : Sched.lock) =
+        g.client <> client
+        && not (Option.fold ~none:false ~some:(Interval.overlaps g.hull) o.read)
+      in
+      let edited =
+        List.concat
+          (List.map2
+             (fun (g : Sched.lock) (what, (h : Sched.lock)) ->
+               if not (outside g) then [ g ]
+               else
+                 match what with
+                 | 0 -> [ g ]
+                 | 1 -> []
+                 | _ -> [ { g with mode = h.mode; state = h.state;
+                            revoke_sent = h.revoke_sent } ])
+             locks edits)
+        @ List.filter outside extra
+      in
+      let o' = run edited in
+      let ids = List.map (fun (g : Sched.lock) -> g.id) in
+      let same_decision =
+        match (o.decision, o'.decision) with
+        | Skip, Skip -> true
+        | Grant a, Grant b -> ids a.own = ids b.own && a.early = b.early
+        | Block a, Block b ->
+            ids a.revoke = ids b.revoke && a.all_canceling = b.all_canceling
+        | (Skip | Grant _ | Block _), _ -> false
+      in
+      same_decision && Mode.equal o.eff o'.eff
+      && Sched.Blocked.equal o.acc o'.acc
+      && Option.equal Interval.equal o.read o'.read)
+
 let suite =
   let q = QCheck_alcotest.to_alcotest ~rand:(Fuzz.Seed.rand_state ()) in
   [
@@ -1432,8 +1500,8 @@ let suite =
         q prop_random_protocol;
         q prop_grant_contract;
         q prop_indexed_matches_reference;
-        q prop_batched_matches_sequential;
         q prop_contended_matches_reference;
+        q prop_visit_reads_only_its_hull;
         Alcotest.test_case "conversion join revisits its waiter" `Quick
           test_conversion_join_revisits_waiter;
       ] );
